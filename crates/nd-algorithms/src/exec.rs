@@ -441,14 +441,14 @@ fn dispatch_op(op: CompiledOp, seq_s: &[u8], seq_t: &[u8], pivots: &PivotStore, 
     // each task after its predecessors — see the module-level safety section.
     match op {
         CompiledOp::Gemm { c, a, b, alpha } => unsafe {
-            if a.is_contiguous() && b.is_contiguous() {
+            if op_pack_len(&op) == 0 {
                 gemm::gemm_block(c, a, b, alpha)
             } else {
                 with_pack_scratch(pack_len, |s| gemm::gemm_block_packed(c, a, b, alpha, s))
             }
         },
         CompiledOp::GemmNt { c, a, b, alpha } => unsafe {
-            if a.is_contiguous() && b.is_contiguous() {
+            if op_pack_len(&op) == 0 {
                 gemm::gemm_nt_block(c, a, b, alpha)
             } else {
                 with_pack_scratch(pack_len, |s| gemm::gemm_nt_block_packed(c, a, b, alpha, s))
@@ -823,14 +823,20 @@ pub fn compile_algorithm_placed(
     }
 }
 
-/// Scratch elements `op` will ask its worker's packing arena for (0 when the
-/// operation never packs).
+/// Scratch elements `op` will ask its worker's packing arena for; 0 when the
+/// operation never packs.  The one predicate for "this op packs": the
+/// compile-time high-water mark and [`dispatch_op`] both read it.
+#[inline]
 fn op_pack_len(op: &CompiledOp) -> usize {
     match op {
-        CompiledOp::Gemm { c, a, b, .. } | CompiledOp::GemmNt { c, a, b, .. }
-            if !(a.is_contiguous() && b.is_contiguous()) =>
-        {
+        // Only `B` is read in vector rows; a strided `A` goes to the kernel
+        // as it is (see `gemm::gemm_block_packed`).
+        CompiledOp::Gemm { c, a, b, .. } if !b.is_contiguous() => {
             gemm::gemm_pack_len(c.rows(), c.cols(), a.cols())
+        }
+        // The dot-product kernel streams rows of both operands.
+        CompiledOp::GemmNt { a, b, .. } if !(a.is_contiguous() && b.is_contiguous()) => {
+            a.rows() * a.cols() + b.rows() * b.cols()
         }
         CompiledOp::LuPanelTiled { a, .. } => {
             nd_linalg::MatView::rows(a) * nd_linalg::MatView::cols(a)

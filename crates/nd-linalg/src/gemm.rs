@@ -7,8 +7,8 @@
 //!   the tiled kernels are tested against),
 //! * [`gemm_block`] and [`gemm_nt_block`]: the register-tiled raw-view block
 //!   kernels used as base-case strands by the parallel executors — dispatched
-//!   once per process between AVX2+FMA vector kernels (8×4 `f64` tiles with
-//!   software prefetch, see [`crate::simd`]) and the scalar `4×4` fallbacks
+//!   once per process between AVX2+FMA vector kernels (6×8 `f64` register
+//!   tiles, see [`crate::simd`]) and the scalar `4×4` fallbacks
 //!   [`gemm_block_scalar`] / [`gemm_nt_block_scalar`], so each base-case
 //!   strand does real floating-point work per scheduling event (the `nt`
 //!   variant computes `C += α·A·Bᵀ`, needed by Cholesky's trailing update
@@ -45,14 +45,12 @@ const MR: usize = 4;
 /// Columns per register tile of the GEMM microkernels.
 const NR: usize = 4;
 
-/// Scratch elements [`gemm_block_packed`] needs to pack both operands of an
-/// `m × n × k` multiply (`A` is `m × k`, `B` is `k × n`; the `nt` variant's
-/// `B` is `n × k` — same element count), **plus** the vector kernels'
-/// prefetch-lookahead pad ([`crate::simd::prefetch_lookahead`]) so the
-/// `k`-loop's streaming prefetches always land in worker-owned scratch.
+/// Scratch elements [`gemm_block_packed`] needs for an `m × n × k` multiply:
+/// the `k × n` panel of `B`, the one operand the kernels read in vector rows.
+/// Exact — there is no pad.
 #[inline]
-pub fn gemm_pack_len(m: usize, n: usize, k: usize) -> usize {
-    m * k + k * n + crate::simd::prefetch_lookahead(n)
+pub fn gemm_pack_len(_m: usize, n: usize, k: usize) -> usize {
+    k * n
 }
 
 /// Copies a (possibly strided) view row by row into the front of `dst` and
@@ -74,27 +72,39 @@ unsafe fn pack_panel(src: MatPtr, dst: &mut [f64]) -> MatPtr {
     MatPtr::from_raw_parts(out, n, m, n)
 }
 
-/// `C += α·A·B` with **panel packing**: strided `A`/`B` operands are first
-/// copied into the caller's scratch (typically a per-worker arena owned by the
-/// thread pool), then the register-tiled [`gemm_block`] runs on the contiguous
-/// copies.  Already-contiguous operands (tile-packed layout, or whole-matrix
-/// views) skip their copy.  Packing moves data without touching a single
+/// `C += α·A·B` with **panel packing**: a strided `B` is first copied into the
+/// caller's scratch (typically a per-worker arena owned by the thread pool),
+/// then the register-tiled [`gemm_block`] runs on the contiguous copy.  `B` is
+/// the operand read in vector rows — `k` rows under every tile, which at a
+/// power-of-two parent stride all fall into one cache set.  A strided `A` goes
+/// to the kernel as it is: a row strip of it is a handful of short linear
+/// streams that stay in L1 across the strip's tiles, so copying it only costs.
+/// An already-contiguous `B` (tile-packed layout, or a whole-matrix view)
+/// skips the copy.  Packing moves data without touching a single
 /// floating-point operation, so the result is bit-identical to calling
 /// [`gemm_block`] on the original views.
 ///
 /// # Safety
-/// Same contract as [`gemm_block`]; additionally `scratch` must hold at least
-/// [`gemm_pack_len`]`(m, n, k)` elements and must not overlap any operand's
-/// storage.
+/// Same contract as [`gemm_block`]; additionally, when `B` is strided,
+/// `scratch` must hold at least [`gemm_pack_len`]`(m, n, k)` elements and must
+/// not overlap any operand's storage.
 pub unsafe fn gemm_block_packed(c: MatPtr, a: MatPtr, b: MatPtr, alpha: f64, scratch: &mut [f64]) {
-    let (ap, bp) = pack_operands(a, b, scratch);
-    gemm_block(c, ap, bp, alpha);
+    let bp = if b.is_contiguous() {
+        b
+    } else {
+        pack_panel(b, &mut scratch[..b.rows() * b.cols()])
+    };
+    gemm_block(c, a, bp, alpha);
 }
 
-/// `C += α·A·Bᵀ` with panel packing — see [`gemm_block_packed`].
+/// `C += α·A·Bᵀ` with panel packing of **both** operands (`B` is `n × k`): the
+/// dot-product kernel streams rows of `A` and rows of `B` alike, so whichever
+/// of the two is strided is copied into `scratch` (`A`'s panel first).
 ///
 /// # Safety
-/// Same contract as [`gemm_block_packed`] (here `B` is `n × k`).
+/// Same contract as [`gemm_nt_block`]; additionally `scratch` must hold the
+/// strided operands' panels (at most `m·k + n·k` elements) and must not
+/// overlap any operand's storage.
 pub unsafe fn gemm_nt_block_packed(
     c: MatPtr,
     a: MatPtr,
@@ -102,19 +112,6 @@ pub unsafe fn gemm_nt_block_packed(
     alpha: f64,
     scratch: &mut [f64],
 ) {
-    let (ap, bp) = pack_operands(a, b, scratch);
-    gemm_nt_block(c, ap, bp, alpha);
-}
-
-/// Packs whichever of the two operands is strided into `scratch` (front:
-/// `A`'s panel, then `B`'s), returning contiguous views over the copies;
-/// already-contiguous operands pass through untouched.
-///
-/// # Safety
-/// Same contract as [`pack_panel`] for each strided operand; `scratch` must
-/// hold both panels ([`gemm_pack_len`]).
-#[inline]
-unsafe fn pack_operands(a: MatPtr, b: MatPtr, scratch: &mut [f64]) -> (MatPtr, MatPtr) {
     let (ap, rest): (MatPtr, &mut [f64]) = if a.is_contiguous() {
         (a, scratch)
     } else {
@@ -126,19 +123,18 @@ unsafe fn pack_operands(a: MatPtr, b: MatPtr, scratch: &mut [f64]) -> (MatPtr, M
     } else {
         pack_panel(b, &mut rest[..b.rows() * b.cols()])
     };
-    (ap, bp)
+    gemm_nt_block(c, ap, bp, alpha);
 }
 
 /// Block kernel: `C += α·A·B` on raw views.
 ///
 /// Dispatches once per process (see [`crate::simd`]) between the AVX2+FMA
-/// vector kernel (8×4 f64 register tile, software prefetch of the next packed
-/// panel lines) and the scalar [`gemm_block_scalar`] fallback — selection is
-/// independent of shape, stride and layout, so all execution paths of one
-/// process agree bit-for-bit, and `ND_FORCE_SCALAR=1` pins the deterministic
-/// scalar path everywhere.  Within either path, results are independent of the
-/// block decomposition (each element's `k` terms accumulate in ascending-`p`
-/// order with a per-path-uniform rounding rule).
+/// vector kernel (6×8 f64 register tile) and the scalar [`gemm_block_scalar`]
+/// fallback — selection is independent of shape, stride and layout, so all
+/// execution paths of one process agree bit-for-bit, and `ND_FORCE_SCALAR=1`
+/// pins the deterministic scalar path everywhere.  Within either path, results
+/// are independent of the block decomposition (each element's `k` terms
+/// accumulate in ascending-`p` order with a per-path-uniform rounding rule).
 ///
 /// # Safety
 /// The caller must uphold the [`MatPtr`] safety contract: the views must be live and
@@ -640,7 +636,7 @@ mod tests {
         let mut c1 = Matrix::random(20, 20, 73);
         let mut c2 = c1.clone();
         let (m, n, k) = (6, 5, 9);
-        let mut scratch = vec![0.0; gemm_pack_len(m, n, k)];
+        let mut scratch = vec![0.0; m * k + n * k];
         unsafe {
             let av = a.as_ptr_view().block(1, 2, m, k);
             let bv = b.as_ptr_view().block(3, 4, n, k); // Bᵀ is k×n

@@ -15,8 +15,8 @@
 //!   conversions, single-tile [`tile::TilePtr`] views (stride = tile width)
 //!   and the tile-addressed whole-matrix [`tile::TileView`].
 //! * [`gemm`] — matrix multiply(-subtract) kernels (`C ± A·B`, `C ± A·Bᵀ`).
-//! * [`simd`] — runtime-dispatched AVX2+FMA vector microkernels (8×4 `f64`
-//!   register tiles, software prefetch) with the `ND_FORCE_SCALAR` override;
+//! * [`simd`] — runtime-dispatched AVX2+FMA vector microkernels (6×8 `f64`
+//!   register tiles) with the `ND_FORCE_SCALAR` override;
 //!   the scalar kernels remain the always-available fallback and oracle.
 //! * [`trsm`] — triangular solves (left lower, and right lower-transposed).
 //! * [`potrf`] — Cholesky factorization.

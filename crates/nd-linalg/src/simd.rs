@@ -2,11 +2,14 @@
 //!
 //! The scalar 4×4 register-tiled kernels in [`crate::gemm`] leave most of an
 //! AVX2 machine's FLOP peak on the table.  This module provides the vector
-//! path: explicit `std::arch` intrinsics kernels with an **8×4 `f64` register
-//! tile** (eight YMM accumulators, one per `C` row, four lanes per register)
-//! for `C += α·A·B`, dot-product kernels for the `Bᵀ` / triangular variants,
-//! and software prefetch of the next packed `A`/`B` panel lines inside the
-//! `k`-loop.
+//! path: explicit `std::arch` intrinsics kernels with a **6×8 `f64` register
+//! tile** for `C += α·A·B` (twelve YMM accumulators — six `C` rows by two
+//! four-lane registers — plus two `B` vectors and one `A` broadcast: 15 of the
+//! 16 YMM registers, 8 loads per 12 FMAs, so the `k`-loop is FMA-bound), and
+//! dot-product kernels for the `Bᵀ` / triangular variants.  The loops carry no
+//! software prefetch: every stream is linear, which the hardware prefetchers
+//! follow on their own, and a hint would compete with the loads for issue
+//! slots.
 //!
 //! # Dispatch
 //!
@@ -29,40 +32,24 @@
 //! term; see `tests/simd_kernels.rs` for the bound).  What the vector path
 //! *does* preserve is the scalar path's split-independence: every element of
 //! `C += α·A·B` receives `fma(a[i][p], α·b[p][j], acc)` in ascending-`p`
-//! order — in the vector tiles **and** in the row/column remainders (which use
-//! `f64::mul_add`) — so results are independent of how the multiply is
-//! decomposed into blocks, exactly like the scalar kernels.  The triangular
+//! order — in the vector tiles of every shape **and** in the row/column
+//! remainders (which use `f64::mul_add`) — so results are independent of how
+//! the multiply is decomposed into blocks, exactly like the scalar kernels.
+//! `α = 1` (no multiply) and `α = −1` (`fnmadd`) are specialised outside the
+//! `k`-loop; both are exactly that chain, because `1·b` and `−b` are exact.
+//! The triangular
 //! solves use the matching fused `acc − t·b` update (`fnmadd`), keeping
 //! blocked TRS decompositions (TRSM on diagonal blocks + GEMM updates with
 //! `α = −1`) self-consistent in vector mode too.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// B-panel rows prefetched ahead of the current `k`-loop position.
-pub const PREFETCH_ROWS_AHEAD: usize = 4;
-
-/// Elements prefetched ahead within each streamed row (`A` panel, `Bᵀ` rows).
-pub const PREFETCH_ELEMS_AHEAD: usize = 64;
-
-/// Scratch elements the packed-GEMM prefetch lookahead can touch past the live
-/// panels of a multiply with `n` result columns.
-///
-/// The `k`-loop issues unguarded streaming prefetches up to
-/// [`PREFETCH_ROWS_AHEAD`] packed `B` rows (plus one partial row) and
-/// [`PREFETCH_ELEMS_AHEAD`] elements past the current read position;
-/// [`crate::gemm::gemm_pack_len`] adds this pad to the packing arena's
-/// high-water mark so the lookahead always lands in worker-owned scratch
-/// (useful prefetches, and the steady-state arena size is exact).
-pub fn prefetch_lookahead(n: usize) -> usize {
-    (PREFETCH_ROWS_AHEAD + 1) * n + PREFETCH_ELEMS_AHEAD
-}
-
 /// Which kernel family [`simd_active`] resolved to for this process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPath {
     /// The always-available scalar 4×4 kernels (the bit-exact oracle path).
     Scalar,
-    /// AVX2 + FMA vector kernels (8×4 f64 register tile).
+    /// AVX2 + FMA vector kernels (6×8 f64 register tile).
     Avx2Fma,
 }
 
@@ -96,12 +83,15 @@ pub fn kernel_path() -> KernelPath {
     }
 }
 
-/// Display name of the resolved kernel family (bench metadata).
+/// Display name of the resolved kernel family (bench metadata).  The vector
+/// name is built from the kernel's own tile constants, so it cannot go stale.
 pub fn kernel_name() -> &'static str {
-    match kernel_path() {
-        KernelPath::Avx2Fma => "avx2+fma-8x4",
-        KernelPath::Scalar => "scalar-4x4",
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        static NAME: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        return NAME.get_or_init(|| format!("avx2+fma-{}x{}", avx2::MR, avx2::NR));
     }
+    "scalar-4x4"
 }
 
 #[cold]
@@ -140,23 +130,15 @@ pub fn force_scalar(on: bool) {
 /// target features at runtime — callers must check [`simd_active`] first.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
-    use super::{PREFETCH_ELEMS_AHEAD, PREFETCH_ROWS_AHEAD};
     use crate::matrix::MatPtr;
     use std::arch::x86_64::*;
 
-    /// Rows per vector register tile (eight YMM accumulators).
-    pub const MR: usize = 8;
-    /// Columns per vector register tile (one YMM register of f64 lanes).
-    pub const NR: usize = 4;
-
-    /// Streaming prefetch of the cache line at `p` (a hint — never faults, so
-    /// a lookahead address past the live panel is harmless; the packing arena
-    /// is padded to keep it in worker-owned memory, see
-    /// [`super::prefetch_lookahead`]).
-    #[inline(always)]
-    unsafe fn prefetch(p: *const f64) {
-        _mm_prefetch(p as *const i8, _MM_HINT_T0);
-    }
+    /// Rows per vector register tile.
+    pub const MR: usize = 6;
+    /// Columns per vector register tile (two YMM registers of f64 lanes).
+    pub const NR: usize = 8;
+    /// `f64` lanes per YMM register.
+    const LANES: usize = 4;
 
     /// Deterministic horizontal sum: `(l0+l2) + (l1+l3)` — a fixed lane order,
     /// so dot-product results depend only on operand values and length.
@@ -179,7 +161,6 @@ pub(crate) mod avx2 {
         let mut acc = _mm256_setzero_pd();
         let mut p = 0;
         while p < lv {
-            prefetch(x.wrapping_add(p + PREFETCH_ELEMS_AHEAD));
             acc = _mm256_fmadd_pd(_mm256_loadu_pd(x.add(p)), _mm256_loadu_pd(y.add(p)), acc);
             p += 4;
         }
@@ -190,7 +171,15 @@ pub(crate) mod avx2 {
         s
     }
 
-    /// Vector `C += α·A·B` — 8×4 tiles with fused remainders (same per-element
+    /// How the microkernel applies `α`, chosen once per block, outside the
+    /// `k`-loop.  Every mode is exactly `fma(a, α·b, acc)`: `1·b` and `−b` are
+    /// exact, and `fnmadd(a, b, acc) = fma(a, −b, acc)`.
+    const ALPHA_ONE: u8 = 0;
+    const ALPHA_NEG_ONE: u8 = 1;
+    const ALPHA_ANY: u8 = 2;
+
+    /// Vector `C += α·A·B` — 6×8 tiles, 4- and 2-row strips and a 4-column
+    /// edge of the same body, then fused remainders (the same per-element
     /// `fma(a, α·b, acc)` ascending-`p` chain everywhere, so results are
     /// independent of the block decomposition).
     ///
@@ -199,33 +188,76 @@ pub(crate) mod avx2 {
     /// available.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn gemm_block(c: MatPtr, a: MatPtr, b: MatPtr, alpha: f64) {
-        let (m, n, k) = (c.rows(), c.cols(), a.cols());
-        debug_assert_eq!(a.rows(), m);
-        debug_assert_eq!(b.rows(), k);
-        debug_assert_eq!(b.cols(), n);
-        let mut i = 0;
-        while i + MR <= m {
-            let mut j = 0;
-            while j + NR <= n {
-                gemm_micro_8x4(c, a, b, alpha, i, j, k);
-                j += NR;
-            }
-            if j < n {
-                gemm_fused_scalar(c, a, b, alpha, i, i + MR, j, n, k);
-            }
-            i += MR;
-        }
-        if i < m {
-            gemm_fused_scalar(c, a, b, alpha, i, m, 0, n, k);
+        debug_assert_eq!(a.rows(), c.rows());
+        debug_assert_eq!(b.rows(), a.cols());
+        debug_assert_eq!(b.cols(), c.cols());
+        if alpha == 1.0 {
+            gemm_strips::<ALPHA_ONE>(c, a, b, alpha)
+        } else if alpha == -1.0 {
+            gemm_strips::<ALPHA_NEG_ONE>(c, a, b, alpha)
+        } else {
+            gemm_strips::<ALPHA_ANY>(c, a, b, alpha)
         }
     }
 
-    /// One 8×4 register tile of `C += α·A·B` over the whole `k`-panel, with
-    /// software prefetch of the `B` panel [`PREFETCH_ROWS_AHEAD`] rows ahead
-    /// and of each `A` row stream [`PREFETCH_ELEMS_AHEAD`] elements ahead.
+    /// Cuts `C` into row strips of 6, then at most one of 4 and one of 2 (so a
+    /// power-of-two block is all vector tiles); an odd last row is fused
+    /// scalar.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemm_micro_8x4(
+    unsafe fn gemm_strips<const ALPHA: u8>(c: MatPtr, a: MatPtr, b: MatPtr, alpha: f64) {
+        let m = c.rows();
+        let mut i = 0;
+        while i + MR <= m {
+            gemm_strip::<MR, ALPHA>(c, a, b, alpha, i);
+            i += MR;
+        }
+        if i + 4 <= m {
+            gemm_strip::<4, ALPHA>(c, a, b, alpha, i);
+            i += 4;
+        }
+        if i + 2 <= m {
+            gemm_strip::<2, ALPHA>(c, a, b, alpha, i);
+            i += 2;
+        }
+        if i < m {
+            gemm_fused_scalar(c, a, b, alpha, i, m, 0, c.cols(), a.cols());
+        }
+    }
+
+    /// One `R`-row strip of `C`: 8-column tiles, one 4-column tile if it fits,
+    /// fused-scalar columns after that.  The strip's `R × k` slice of `A` is
+    /// re-read by every tile and stays in L1 whatever `A`'s stride.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gemm_strip<const R: usize, const ALPHA: u8>(
+        c: MatPtr,
+        a: MatPtr,
+        b: MatPtr,
+        alpha: f64,
+        i: usize,
+    ) {
+        let (n, k) = (c.cols(), a.cols());
+        let mut j = 0;
+        while j + NR <= n {
+            gemm_micro::<R, { NR / LANES }, ALPHA>(c, a, b, alpha, i, j, k);
+            j += NR;
+        }
+        if j + LANES <= n {
+            gemm_micro::<R, 1, ALPHA>(c, a, b, alpha, i, j, k);
+            j += LANES;
+        }
+        if j < n {
+            gemm_fused_scalar(c, a, b, alpha, i, i + R, j, n, k);
+        }
+    }
+
+    /// One `R × 4V` register tile of `C += α·A·B` over the whole `k`-panel:
+    /// `R·V` accumulators, `V` vectors of the current `B` row and one `A`
+    /// broadcast live at a time (15 YMM at 6×8).
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gemm_micro<const R: usize, const V: usize, const ALPHA: u8>(
         c: MatPtr,
         a: MatPtr,
         b: MatPtr,
@@ -235,32 +267,44 @@ pub(crate) mod avx2 {
         k: usize,
     ) {
         let alphav = _mm256_set1_pd(alpha);
-        let mut a_rows = [std::ptr::null::<f64>(); MR];
-        let mut c_ptrs = [std::ptr::null_mut::<f64>(); MR];
-        let mut acc = [_mm256_setzero_pd(); MR];
-        for r in 0..MR {
+        let mut a_rows = [std::ptr::null::<f64>(); R];
+        let mut c_ptrs = [std::ptr::null_mut::<f64>(); R];
+        let mut acc = [[_mm256_setzero_pd(); V]; R];
+        for r in 0..R {
             a_rows[r] = a.row_ptr(i + r);
-            let cp = c.row_ptr(i + r).add(j);
-            c_ptrs[r] = cp;
-            acc[r] = _mm256_loadu_pd(cp);
+            c_ptrs[r] = c.row_ptr(i + r).add(j);
+            for (v, accv) in acc[r].iter_mut().enumerate() {
+                *accv = _mm256_loadu_pd(c_ptrs[r].add(LANES * v));
+            }
         }
         let b_stride = b.stride();
         let mut b_row = b.row_ptr(0).add(j) as *const f64;
         for p in 0..k {
-            prefetch(b_row.wrapping_add(PREFETCH_ROWS_AHEAD * b_stride));
-            prefetch(a_rows[p % MR].wrapping_add(p + PREFETCH_ELEMS_AHEAD));
-            // α is folded into the B quad once (one rounding of α·b[p][j]),
-            // then each row's term is one fmadd — the per-element chain the
-            // fused remainders reproduce exactly.
-            let bv = _mm256_mul_pd(alphav, _mm256_loadu_pd(b_row));
-            for r in 0..MR {
+            let mut bv = [_mm256_setzero_pd(); V];
+            for (v, bvv) in bv.iter_mut().enumerate() {
+                *bvv = _mm256_loadu_pd(b_row.add(LANES * v));
+                if ALPHA == ALPHA_ANY {
+                    // One rounding of α·b[p][j], then each row's term is one
+                    // fmadd — the chain the fused remainders reproduce.
+                    *bvv = _mm256_mul_pd(alphav, *bvv);
+                }
+            }
+            for r in 0..R {
                 let av = _mm256_broadcast_sd(&*a_rows[r].add(p));
-                acc[r] = _mm256_fmadd_pd(av, bv, acc[r]);
+                for v in 0..V {
+                    acc[r][v] = if ALPHA == ALPHA_NEG_ONE {
+                        _mm256_fnmadd_pd(av, bv[v], acc[r][v])
+                    } else {
+                        _mm256_fmadd_pd(av, bv[v], acc[r][v])
+                    };
+                }
             }
             b_row = b_row.wrapping_add(b_stride);
         }
-        for r in 0..MR {
-            _mm256_storeu_pd(c_ptrs[r], acc[r]);
+        for r in 0..R {
+            for (v, &accv) in acc[r].iter().enumerate() {
+                _mm256_storeu_pd(c_ptrs[r].add(LANES * v), accv);
+            }
         }
     }
 
@@ -325,8 +369,7 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// One 4×4 tile of `C += α·A·Bᵀ`: sixteen fused dot products with `A`-row
-    /// stream prefetch.
+    /// One 4×4 tile of `C += α·A·Bᵀ`: sixteen fused dot products.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemm_nt_micro_4x4(
@@ -351,7 +394,6 @@ pub(crate) mod avx2 {
             let mut acc = [_mm256_setzero_pd(); 4];
             let mut p = 0;
             while p < kv {
-                prefetch(a_row.wrapping_add(p + PREFETCH_ELEMS_AHEAD));
                 let av = _mm256_loadu_pd(a_row.add(p));
                 for (s, accs) in acc.iter_mut().enumerate() {
                     *accs = _mm256_fmadd_pd(av, _mm256_loadu_pd(b_rows[s].add(p)), *accs);

@@ -97,22 +97,13 @@ fn compiled_reexecution_with_packing_scratch_allocates_nothing() {
             ContextExtras::None,
         );
         let compiled = driver::compile(&built, &ctx);
-        assert!(
-            compiled.pack_scratch_len() > 0,
-            "row-major MM must have strided multiplies for packing to exercise"
-        );
-        // The compile-time high-water mark must cover the packed panels PLUS
-        // the SIMD prefetch lookahead pad — the k-loop prefetches rows up to
-        // `PREFETCH_ROWS_AHEAD` panels ahead, and those addresses must stay
-        // inside the worker-owned arena for the steady state to stay exact.
-        assert!(
-            compiled.pack_scratch_len() >= nd_linalg::gemm::gemm_pack_len(base, base, base),
-            "pack high-water must cover the base-case panels + prefetch lookahead"
-        );
-        assert!(
-            nd_linalg::gemm::gemm_pack_len(base, base, base)
-                >= 2 * base * base + nd_linalg::simd::prefetch_lookahead(base),
-            "gemm_pack_len must include the prefetch lookahead pad"
+        // The compile-time high-water mark is exactly the `k × n` panel of
+        // `B` of the largest strided multiply: only `B` is packed, and there
+        // is no pad.
+        assert_eq!(
+            compiled.pack_scratch_len(),
+            base * base,
+            "row-major MM packs one B panel per multiply, nothing else"
         );
         // The deque shim pre-reserves 1024 slots; stay far under it so a
         // queue can never grow mid-measurement.

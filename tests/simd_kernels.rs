@@ -13,7 +13,8 @@
 use nd_algorithms::common::Mode;
 use nd_algorithms::mm::multiply_parallel;
 use nd_linalg::gemm::{
-    gemm_block, gemm_block_scalar, gemm_naive, gemm_nt_block, gemm_nt_block_scalar,
+    gemm_block, gemm_block_packed, gemm_block_scalar, gemm_naive, gemm_nt_block,
+    gemm_nt_block_scalar, gemm_pack_len,
 };
 use nd_linalg::getrf::{trsm_unit_lower_block, trsm_unit_lower_block_ptr};
 use nd_linalg::potrf::{potrf_block, potrf_block_ptr};
@@ -240,6 +241,124 @@ proptest! {
             }
         }
         prop_assert_eq!(whole.max_abs_diff(&quad), 0.0, "quadrant split changed bits");
+    }
+}
+
+/// One GEMM operand: a `rows × cols` view that is either a whole matrix
+/// (contiguous) or a block of a larger parent (strided).
+struct Operand {
+    parent: Matrix,
+    r0: usize,
+    c0: usize,
+    rows: usize,
+    cols: usize,
+}
+
+impl Operand {
+    fn new(rows: usize, cols: usize, strided: bool, seed: u64) -> Self {
+        let (r0, c0) = if strided { (1, 2) } else { (0, 0) };
+        let parent = if strided {
+            strided_parent(rows, cols, r0, c0, seed)
+        } else {
+            Matrix::random(rows, cols, seed)
+        };
+        Operand {
+            parent,
+            r0,
+            c0,
+            rows,
+            cols,
+        }
+    }
+
+    fn view(&mut self) -> nd_linalg::MatPtr {
+        self.parent
+            .as_ptr_view()
+            .block(self.r0, self.c0, self.rows, self.cols)
+    }
+
+    fn at(&self, i: usize, j: usize) -> f64 {
+        self.parent[(i + self.r0, j + self.c0)]
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every tile shape of the vector kernel equals the fused-scalar chain
+    /// `fma(a[i][p], α·b[p][j], acc)` in ascending `p`, **bit for bit**: all
+    /// `(m mod 6, n mod 8)` remainder classes × contiguous/strided `A`, `B`,
+    /// `C` × the three `α` specialisations.  The chain is taken twice: from
+    /// the kernel's own remainder (a one-row multiply is all fused scalar) and
+    /// spelled out with `f64::mul_add`.  Any tile shape that computes this
+    /// chain gives the same bits, so the tile shape is free to change.
+    /// Under `ND_FORCE_SCALAR` the row-at-a-time comparison still holds (the
+    /// scalar kernels are split-independent too); the `mul_add` one is the
+    /// vector path's alone.
+    #[test]
+    fn gemm_tiles_equal_the_fused_scalar_chain_bit_for_bit(
+        strips in 0usize..3,
+        tiles in 0usize..3,
+        k in 1usize..20,
+        seed in 0u64..1000,
+    ) {
+        let _g = lock_dispatch();
+        let vector = nd_linalg::simd::simd_active();
+        for (m, n) in (0..6).flat_map(|mr| (0..8).map(move |nr| (6 * strips + mr, 8 * tiles + nr))) {
+            if m == 0 || n == 0 {
+                continue;
+            }
+            for strided in 0..8u64 {
+                let mut a = Operand::new(m, k, strided & 1 != 0, seed);
+                let mut b = Operand::new(k, n, strided & 2 != 0, seed + 1);
+                let c0 = Operand::new(m, n, strided & 4 != 0, seed + 2);
+                for alpha in [1.0, -1.0, 0.37] {
+                    let mut whole = Operand { parent: c0.parent.clone(), ..c0 };
+                    let mut by_row = Operand { parent: c0.parent.clone(), ..c0 };
+                    let mut packed = Operand { parent: c0.parent.clone(), ..c0 };
+                    let mut scratch = vec![0.0; gemm_pack_len(m, n, k)];
+                    // SAFETY: single-threaded; C is a distinct matrix from A
+                    // and B, and the row blocks of C are disjoint.
+                    unsafe {
+                        gemm_block(whole.view(), a.view(), b.view(), alpha);
+                        gemm_block_packed(packed.view(), a.view(), b.view(), alpha, &mut scratch);
+                        for i in 0..m {
+                            gemm_block(
+                                by_row.view().block(i, 0, 1, n),
+                                a.view().block(i, 0, 1, k),
+                                b.view(),
+                                alpha,
+                            );
+                        }
+                    }
+                    prop_assert_eq!(
+                        whole.parent.max_abs_diff(&by_row.parent), 0.0,
+                        "tile != remainder chain: m={} n={} k={} strided={:03b} alpha={}",
+                        m, n, k, strided, alpha
+                    );
+                    prop_assert_eq!(
+                        whole.parent.max_abs_diff(&packed.parent), 0.0,
+                        "packing B changed bits: m={} n={} k={} strided={:03b} alpha={}",
+                        m, n, k, strided, alpha
+                    );
+                    if vector {
+                        for i in 0..m {
+                            for j in 0..n {
+                                let mut acc = c0.at(i, j);
+                                for p in 0..k {
+                                    acc = a.at(i, p).mul_add(alpha * b.at(p, j), acc);
+                                }
+                                prop_assert_eq!(
+                                    whole.at(i, j).to_bits(), acc.to_bits(),
+                                    "({},{}) != mul_add chain: m={} n={} k={} strided={:03b} alpha={}",
+                                    i, j, m, n, k, strided, alpha
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

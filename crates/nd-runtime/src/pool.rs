@@ -405,7 +405,10 @@ impl AdmissionState {
 /// [`ThreadPool::admission_stats`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdmissionSnapshot {
-    /// Admitted external jobs currently outstanding.
+    /// Admitted external jobs currently outstanding.  A job's slot is
+    /// released only after its closure returns or its panic is caught, so
+    /// the job's own side effects can be seen while it still counts here; a
+    /// caller that needs `outstanding == 0` must wait for it.
     pub outstanding: usize,
     /// The largest `outstanding` ever observed.
     pub max_outstanding: usize,
@@ -562,21 +565,27 @@ impl Shared {
     /// parked job exist.  Shared by the completion path and the submit path
     /// (the latter covers the race where the pool drains to idle between a
     /// failed reserve and the overflow push).
+    ///
+    /// The emptiness check, the reserve and the pop happen under the
+    /// `overflow` lock, so a slot is only ever taken for a job that is
+    /// popped.  Reserving first and handing the slot back on an empty queue
+    /// would let `outstanding` count a job that does not exist, and a
+    /// concurrent pump that failed to reserve against that phantom slot
+    /// would leave a freshly parked job stranded beside a free slot.
     fn pump_overflow(&self) {
         let Some(adm) = &self.admission else { return };
-        while adm.try_reserve() {
-            let job = adm.overflow.lock().pop_front();
-            match job {
-                Some(job) => {
-                    self.injector.push(JobUnit::Admitted(job));
-                    self.notify_one();
+        loop {
+            let job = {
+                let mut overflow = adm.overflow.lock();
+                if overflow.is_empty() || !adm.try_reserve() {
+                    return;
                 }
-                None => {
-                    // Reserved a slot but nothing was parked: hand it back.
-                    adm.outstanding.fetch_sub(1, Ordering::AcqRel);
-                    break;
-                }
-            }
+                overflow
+                    .pop_front()
+                    .expect("checked non-empty under the lock")
+            };
+            self.injector.push(JobUnit::Admitted(job));
+            self.notify_one();
         }
     }
 
@@ -864,6 +873,12 @@ impl ThreadPool {
 
     /// A point-in-time view of the admission layer, or `None` on a pool
     /// without one.
+    ///
+    /// A worker releases a job's slot only after the job's closure returns
+    /// or its panic is caught, so a read made right after the job's last
+    /// side effect became visible may still count that job as outstanding.
+    /// To observe a drained pool, wait until `outstanding == 0` rather than
+    /// reading it once after the jobs' own signals.
     pub fn admission_stats(&self) -> Option<AdmissionSnapshot> {
         self.shared.admission.as_ref().map(|adm| AdmissionSnapshot {
             outstanding: adm.outstanding.load(Ordering::Relaxed),
@@ -1549,6 +1564,22 @@ mod tests {
         assert_eq!(pool.admission_stats().unwrap().overflow_queued, 0);
         // The bounded paths never exceeded the mark.
         assert_eq!(pool.admission_stats().unwrap().max_outstanding, 1);
+    }
+
+    #[test]
+    fn pump_on_an_empty_overflow_queue_takes_no_slot() {
+        // With nothing parked, a pump must not reserve a slot even for a
+        // moment: `outstanding` (and its watermark) count admitted jobs only.
+        let pool = ThreadPool::with_admission(1, AdmissionConfig::new(1, OverloadPolicy::Degrade));
+        pool.shared.pump_overflow();
+        assert_eq!(
+            pool.admission_stats().unwrap(),
+            AdmissionSnapshot {
+                outstanding: 0,
+                max_outstanding: 0,
+                overflow_queued: 0,
+            }
+        );
     }
 
     #[test]

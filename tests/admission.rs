@@ -25,6 +25,19 @@ fn wait_until(label: &str, cond: impl Fn() -> bool) {
     }
 }
 
+/// Waits until every admission slot is released.  A slot is freed only after
+/// its job's closure returns, so a job's own side effects (the counters the
+/// drain waits watch) are visible while it still counts as outstanding; a
+/// leaked slot makes this time out.
+fn wait_slots_released(pool: &ThreadPool) {
+    wait_until("slots released", || {
+        pool.admission_stats()
+            .expect("admission layer is on")
+            .outstanding
+            == 0
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -75,6 +88,7 @@ proptest! {
             wait_until("shed burst drains", move || {
                 ran2.load(Ordering::SeqCst) == admitted
             });
+            wait_slots_released(&pool);
             let snap = pool.admission_stats().expect("admission layer is on");
             prop_assert_eq!(ran.load(Ordering::SeqCst), admitted, "exactly once");
             prop_assert!(snap.max_outstanding <= high_water);
@@ -121,6 +135,7 @@ proptest! {
                 sum2.load(Ordering::SeqCst) >= expected
             });
             prop_assert_eq!(sum.load(Ordering::SeqCst), expected, "workers={}", workers);
+            wait_slots_released(&pool);
             let snap = pool.admission_stats().expect("admission layer is on");
             prop_assert_eq!(snap.outstanding, 0);
             prop_assert_eq!(snap.overflow_queued, 0);
@@ -157,6 +172,7 @@ proptest! {
                 ran2.load(Ordering::SeqCst) == burst
             });
             prop_assert_eq!(ran.load(Ordering::SeqCst), burst);
+            wait_slots_released(&pool);
             let snap = pool.admission_stats().expect("admission layer is on");
             prop_assert!(snap.max_outstanding <= high_water);
             prop_assert_eq!(snap.outstanding, 0);
@@ -191,12 +207,7 @@ fn pool_stats_carry_fault_counters() {
         SubmitOutcome::Shed
     ));
     gate.store(1, Ordering::SeqCst);
-    wait_until("slot releases", || {
-        pool.admission_stats()
-            .expect("admission layer is on")
-            .outstanding
-            == 0
-    });
+    wait_slots_released(&pool);
     let delta = pool.stats().since(&before);
     assert_eq!(delta.jobs_shed, 1);
     assert_eq!(delta.jobs_degraded, 0);
@@ -282,6 +293,7 @@ fn deadline_fault_does_not_wedge_the_degrade_overflow_queue() {
         wait_until("parked overflow drains after deadline fault", move || {
             ran.load(Ordering::SeqCst) == parked
         });
+        wait_slots_released(&pool);
         let snap = pool.admission_stats().expect("admission layer is on");
         assert_eq!(snap.overflow_queued, 0);
         assert_eq!(snap.outstanding, 0);

@@ -12,8 +12,7 @@
 //! one traced anchored MM (written to the `trace` section of
 //! `BENCH_exec.json`), and E20: the fault paths — drain-to-latch cancellation
 //! latency after a strand panic, `reset()` + rerun recovery, the trip latency
-//! of a blown wall-clock deadline, and the admission layer's shed accounting
-//! under a synthetic burst (the `faults` section).
+//! of a blown wall-clock deadline (the `faults` section).
 //!
 //! Both executors run the *same* deterministic ND task graph; only the
 //! scheduling differs: the flat baseline steals blindly in ring order (but its
@@ -57,11 +56,9 @@ use nd_pmh::machine::MachineTree;
 use nd_pmh::topology::detect_host;
 use nd_runtime::dataflow::{CompiledGraph, TaskTable};
 use nd_runtime::pool::with_pack_scratch;
-use nd_runtime::{
-    AdmissionConfig, OverloadPolicy, Priority, RunBudget, RunError, SubmitOutcome, ThreadPool,
-};
+use nd_runtime::{RunBudget, RunError, ThreadPool};
 use nd_trace::{metrics_summary_json, TraceConfig, TraceSession};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -799,9 +796,7 @@ impl TaskTable for FaultProbeTable {
 /// second traversal).  `recovery_seconds` is the documented recovery
 /// (`reset()` + rerun) back to a complete result, `deadline_trip_seconds` is
 /// how long a run whose wall-clock budget is already blown takes to notice at
-/// a claim boundary and drain out, and the `shed_*` numbers check the
-/// admission layer's exact accounting under a burst far above its high-water
-/// mark.  All of it runs without the `chaos` feature: the panic here is a
+/// a claim boundary and drain out.  All of it runs without the `chaos` feature: the panic here is a
 /// natural one, so this section also proves the fault path needs no harness.
 struct FaultBench {
     graph_tasks: usize,
@@ -816,27 +811,19 @@ struct FaultBench {
     recovery_seconds: f64,
     /// Best time for a run with an already-blown deadline to drain out.
     deadline_trip_seconds: f64,
-    /// Burst size thrown at the shedding admission layer.
-    shed_burst: usize,
-    shed_admitted: u64,
-    shed_refused: u64,
 }
 
 impl FaultBench {
     fn json(&self) -> String {
         format!(
             "{{\"graph_tasks\":{},\"clean_seconds\":{:.6},\"drain_seconds\":{:.6},\
-\"drain_ratio\":{:.3},\"recovery_seconds\":{:.6},\"deadline_trip_seconds\":{:.6},\
-\"shed_burst\":{},\"shed_admitted\":{},\"shed_refused\":{}}}",
+\"drain_ratio\":{:.3},\"recovery_seconds\":{:.6},\"deadline_trip_seconds\":{:.6}}}",
             self.graph_tasks,
             self.clean_seconds,
             self.drain_seconds,
             self.drain_ratio,
             self.recovery_seconds,
-            self.deadline_trip_seconds,
-            self.shed_burst,
-            self.shed_admitted,
-            self.shed_refused
+            self.deadline_trip_seconds
         )
     }
 }
@@ -917,44 +904,6 @@ fn bench_faults(workers: usize, reps: usize) -> FaultBench {
         graph.reset();
     }
 
-    // Shedding: a gated burst against a small high-water mark; counts must be
-    // exact and every admitted job must run.
-    let shed_burst = 256usize;
-    let high_water = 4usize;
-    let shed_pool = ThreadPool::with_admission(
-        workers,
-        AdmissionConfig::new(high_water, OverloadPolicy::Shed),
-    );
-    let gate = Arc::new(AtomicBool::new(false));
-    let ran = Arc::new(AtomicU64::new(0));
-    let mut admitted = 0u64;
-    for _ in 0..shed_burst {
-        let gate = Arc::clone(&gate);
-        let ran = Arc::clone(&ran);
-        let outcome = shed_pool.submit(
-            Priority::High,
-            Box::new(move |_| {
-                while !gate.load(Ordering::Relaxed) {
-                    std::hint::spin_loop();
-                }
-                ran.fetch_add(1, Ordering::Relaxed);
-            }),
-        );
-        if matches!(outcome, SubmitOutcome::Admitted) {
-            admitted += 1;
-        }
-    }
-    gate.store(true, Ordering::Relaxed);
-    while ran.load(Ordering::Relaxed) < admitted {
-        std::thread::yield_now();
-    }
-    let shed_refused = shed_pool.jobs_shed();
-    assert_eq!(
-        admitted + shed_refused,
-        shed_burst as u64,
-        "shed accounting"
-    );
-
     FaultBench {
         graph_tasks: tasks,
         clean_seconds,
@@ -962,9 +911,6 @@ fn bench_faults(workers: usize, reps: usize) -> FaultBench {
         drain_ratio: drain_seconds / clean_seconds,
         recovery_seconds: recovery_best,
         deadline_trip_seconds: deadline_best,
-        shed_burst,
-        shed_admitted: admitted,
-        shed_refused,
     }
 }
 
@@ -1313,7 +1259,7 @@ fn main() {
     );
 
     // ------------------------------------------------- faults (E20) ----
-    eprintln!("exp_exec: fault paths (drain latency, recovery, deadline, shedding)");
+    eprintln!("exp_exec: fault paths (drain latency, recovery, deadline)");
     let fault_bench = bench_faults(workers, reps);
     let faults_json = fault_bench.json();
     println!(

@@ -33,9 +33,8 @@
 //!   `BENCH_exec.json`; the compile-out-versus-disabled cost is measured by
 //!   `nd-runtime`'s `sched_overhead` binary and bounded by CI);
 //!   E20: the fault paths — drain-to-latch cancellation latency after a
-//!   mid-run strand panic, `reset()` + rerun recovery cost, the trip latency
-//!   of a blown wall-clock deadline, and the admission layer's shed
-//!   accounting under a synthetic burst (the `faults` section of
+//!   mid-run strand panic, `reset()` + rerun recovery cost, and the trip
+//!   latency of a blown wall-clock deadline (the `faults` section of
 //!   `BENCH_exec.json`; the cost of carrying the *uninstalled* `chaos`
 //!   fault-injection harness is bounded by the same `sched_overhead`
 //!   comparison, run by the CI chaos job).

@@ -1,10 +1,9 @@
-//! nd-fault: the executor's failure story — typed run errors, run budgets,
-//! and overload-shedding admission policies.
+//! nd-fault: the executor's failure story — typed run errors and run budgets.
 //!
 //! Until this module existed the runtime had no way to *report* failure: a
 //! panicking strand unwound through the worker loop and silently killed that
-//! worker, `execute` could only return statistics or hang, and nothing
-//! bounded queue growth under load.  The three pieces here close those holes:
+//! worker, and `execute` could only return statistics or hang.  The two
+//! pieces here close those holes:
 //!
 //! * [`RunError`] — what a graph execution returns instead of hanging or
 //!   aborting: the panicked strand (task index, operation kind, payload), or
@@ -17,18 +16,12 @@
 //!   boundaries (the same exactly-once point the dependency counters
 //!   guarantee), so a runaway run degrades into a fast structural drain
 //!   rather than unbounded occupancy.
-//! * [`AdmissionConfig`] / [`OverloadPolicy`] — a bounded-injection admission
-//!   layer on the pool's external submission path: a configurable high-water
-//!   mark on outstanding jobs, enforced by [`OverloadPolicy::Block`] (the
-//!   submitter waits), [`OverloadPolicy::Shed`] (the job is refused and
-//!   counted), or [`OverloadPolicy::Degrade`] (low-[`Priority`] submissions
-//!   are serialised through an overflow queue, trickling in one per
-//!   completion — the rt-drl-style criticality switch: high-priority work is
-//!   always admitted, low-priority work degrades first).
 //!
-//! The module is plain data + policy; the enforcement lives at the pool's
-//! submission path (`ThreadPool::submit`) and the dataflow executor's claim
-//! sites.
+//! It also defines [`Priority`], the criticality label the serving layer
+//! (`nd-serve`) attaches to tenants.
+//!
+//! The module is plain data; the enforcement lives at the dataflow
+//! executor's claim sites.
 
 use std::fmt;
 use std::time::Duration;
@@ -150,89 +143,18 @@ impl RunBudget {
     }
 }
 
-/// What the pool does with an external submission that would push the number
-/// of outstanding admitted jobs past the configured high-water mark.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OverloadPolicy {
-    /// The submitting thread blocks until the pool drains below the mark.
-    /// Backpressure: nothing is lost, submission rate is clamped to
-    /// completion rate.
-    Block,
-    /// The submission is refused ([`SubmitOutcome::Shed`]) and counted in
-    /// [`PoolStats::jobs_shed`](crate::pool::PoolStats::jobs_shed).  The
-    /// caller keeps the job (see `ThreadPool::try_submit`) and decides
-    /// whether to retry, redirect, or drop.
-    Shed,
-    /// The rt-drl-style criticality switch: [`Priority::High`] submissions
-    /// are always admitted (the mark may be exceeded by critical work), while
-    /// [`Priority::Low`] submissions past the mark are *serialised* — parked
-    /// in a FIFO overflow queue and injected one per completed job, so
-    /// low-priority load trickles through without ever growing the queues.
-    Degrade,
-}
-
-impl OverloadPolicy {
-    /// Stable wire discriminant, recorded in trace `Shed` events.
-    pub fn kind_wire(self) -> u16 {
-        match self {
-            OverloadPolicy::Block => 0,
-            OverloadPolicy::Shed => 1,
-            OverloadPolicy::Degrade => 2,
-        }
-    }
-}
-
-/// Criticality of an external submission, consulted by
-/// [`OverloadPolicy::Degrade`].
+/// Criticality of a tenant's jobs in the serving layer.
+///
+/// `nd-serve` keeps one ready queue per priority and always dequeues the
+/// `High` queue before the `Low` one, so a tenant's priority decides the
+/// order in which admitted jobs reach the pool.  The pool itself runs every
+/// job it is given and never consults a priority.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Priority {
-    /// Critical work: always admitted, even past the high-water mark.
+    /// Latency-sensitive work: dequeued before any `Low` job.
     High,
-    /// Degradable work: serialised through the overflow queue under
-    /// [`OverloadPolicy::Degrade`].
+    /// Background work: dequeued only while no `High` job is ready.
     Low,
-}
-
-/// The bounded-injection admission layer's configuration (see
-/// `ThreadPool::with_admission`).
-///
-/// `high_water` bounds the number of *outstanding* admitted external jobs —
-/// submitted and not yet finished executing.  Only the external submission
-/// path (`ThreadPool::spawn` / `submit` / `try_submit`) is admission
-/// controlled; work spawned by running jobs and compiled-graph strands is
-/// bounded by its graph and bypasses the layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// Maximum outstanding admitted external jobs.
-    pub high_water: usize,
-    /// What to do with submissions past the mark.
-    pub policy: OverloadPolicy,
-}
-
-impl AdmissionConfig {
-    /// An admission layer bounding outstanding jobs at `high_water` under the
-    /// given policy.
-    ///
-    /// # Panics
-    /// Panics if `high_water` is zero (no job could ever be admitted).
-    pub fn new(high_water: usize, policy: OverloadPolicy) -> Self {
-        assert!(high_water > 0, "admission high-water mark must be positive");
-        AdmissionConfig { high_water, policy }
-    }
-}
-
-/// What happened to an external submission (see `ThreadPool::submit`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubmitOutcome {
-    /// The job was injected and counts against the high-water mark until it
-    /// finishes (possibly after blocking, under [`OverloadPolicy::Block`]).
-    Admitted,
-    /// The job was refused under [`OverloadPolicy::Shed`] and will not run.
-    Shed,
-    /// The job was parked in the overflow queue under
-    /// [`OverloadPolicy::Degrade`]; it runs later, serialised behind the
-    /// currently outstanding work.
-    Degraded,
 }
 
 #[cfg(test)]
@@ -293,12 +215,6 @@ mod tests {
         });
         assert!(d.to_string().contains("deadline"));
         assert!(d.source().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_high_water_is_rejected() {
-        let _ = AdmissionConfig::new(0, OverloadPolicy::Block);
     }
 
     #[test]

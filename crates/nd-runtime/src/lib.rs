@@ -8,7 +8,7 @@
 //! executor** that runs an algorithm DAG (produced by the DAG Rewriting System in
 //! `nd-core`) on actual threads.
 //!
-//! * [`pool`] — the work-stealing thread pool (crossbeam Chase–Lev deques, a global
+//! * [`pool`] — the work-stealing thread pool (per-worker deques, a global
 //!   injector, parking/unparking of idle workers); optionally topology-aware via
 //!   [`PoolTopology`]: workers grouped into subclusters with per-group queues and
 //!   a nearest-cluster-first steal order (the substrate `nd-exec` anchors on).
@@ -30,9 +30,7 @@
 //!   and by the NP wall-clock baselines.
 //! * [`fault`] — the failure story: typed [`RunError`]s (strand panics are
 //!   caught at the execution sites and the run drains to its latch instead of
-//!   hanging), per-run wall-clock [`RunBudget`] deadlines, and the pool's
-//!   bounded-injection admission layer ([`OverloadPolicy`]: block, shed, or
-//!   rt-style degrade of low-priority submissions).
+//!   hanging) and per-run wall-clock [`RunBudget`] deadlines.
 //! * `chaos` (behind the `chaos` feature, compiled out like `trace`) — a
 //!   seeded deterministic fault-injection harness that attacks the above on
 //!   purpose: panic strand *k*, delay worker *w*, fail the *n*-th steal.
@@ -61,6 +59,6 @@ pub use dataflow::{
     CompiledGraph, ExecStats, Placement, ReusableGraph, ScheduleDriver, ScheduleError, StepOutcome,
     TaskGraph, TaskId, TaskTable,
 };
-pub use fault::{AdmissionConfig, OverloadPolicy, Priority, RunBudget, RunError, SubmitOutcome};
+pub use fault::{Priority, RunBudget, RunError};
 pub use lower::{lower_dag, lower_dag_boxed, LoweredDag};
-pub use pool::{AdmissionSnapshot, PoolStats, PoolTopology, ThreadPool};
+pub use pool::{PoolStats, PoolTopology, ThreadPool};

@@ -1,10 +1,17 @@
 //! The work-stealing thread pool.
 //!
-//! A classic Chase–Lev design built on `crossbeam-deque`: every worker owns a LIFO
-//! deque; work it spawns goes onto its own deque (preserving the depth-first order
-//! that gives nested-parallel programs their locality), and idle workers steal from
-//! the top of other workers' deques or from a global FIFO injector.  Idle workers
-//! park on a condvar with a short timeout, so wake-ups cannot be lost.
+//! Every worker owns a LIFO deque; work it spawns goes onto its own deque
+//! (preserving the depth-first order that gives nested-parallel programs their
+//! locality), and idle workers steal from the top of other workers' deques or
+//! from a global FIFO injector.  The deques and injectors use the
+//! `crossbeam::deque` API, but the workspace builds offline against the
+//! `shims/crossbeam` crate, where each one is a `Mutex<VecDeque>` rather than a
+//! lock-free Chase–Lev deque (ROADMAP item 9 replaces them).  Idle workers park
+//! on one condvar with a short timeout, so wake-ups cannot be lost.
+//!
+//! External jobs enter through one path, [`ThreadPool::spawn`] (or
+//! [`ThreadPool::spawn_to_group`]): the pool never refuses, parks or counts
+//! against a bound.  Admission control is the serving layer's job.
 //!
 //! The pool is optionally **topology-aware**: a [`PoolTopology`] groups workers
 //! into nested *queue groups* (mirroring the subclusters of a PMH machine tree),
@@ -14,17 +21,15 @@
 //! callers are unaffected.  The hierarchy-aware executor in `nd-exec` builds the
 //! non-trivial topologies.
 
-use crate::fault::{AdmissionConfig, OverloadPolicy, Priority, SubmitOutcome};
 use crossbeam::deque::{Injector, Stealer, Worker as Deque};
 use nd_trace::{EventKind, QueueKind, TraceEvent, Tracer, NO_TASK};
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 thread_local! {
     /// The calling thread's packing scratch arena (see [`with_pack_scratch`]).
@@ -83,11 +88,7 @@ pub(crate) trait GraphTask: Send + Sync {
 pub(crate) enum JobUnit {
     /// A boxed closure (the classic [`Job`]).
     Boxed(Job),
-    /// A boxed closure admitted through the pool's admission layer: on
-    /// completion (normal **or** panicked) the worker releases its admission
-    /// slot, so the outstanding-jobs bound stays exact under faults.
-    Admitted(Job),
-    /// Task `1` of the compiled graph run `0`.
+    /// One task (by index) of a compiled graph run.
     Graph(Arc<dyn GraphTask>, u32),
 }
 
@@ -97,7 +98,7 @@ impl JobUnit {
     #[inline]
     fn task_id(&self) -> u32 {
         match self {
-            JobUnit::Boxed(_) | JobUnit::Admitted(_) => NO_TASK,
+            JobUnit::Boxed(_) => NO_TASK,
             JobUnit::Graph(_, task) => *task,
         }
     }
@@ -105,7 +106,7 @@ impl JobUnit {
     #[inline]
     fn run(self, ctx: &WorkerCtx<'_>) {
         match self {
-            JobUnit::Boxed(job) | JobUnit::Admitted(job) => {
+            JobUnit::Boxed(job) => {
                 // Graph tasks record their own execution spans in the
                 // dataflow executor; boxed closures are spanned here so
                 // per-worker busy time covers both dispatch modes.
@@ -273,12 +274,6 @@ impl WorkerCtx<'_> {
         self.spawn_unit_local(JobUnit::Boxed(job));
     }
 
-    /// Spawns a job onto the global injector (FIFO), visible to every worker.
-    pub fn spawn_global(&self, job: Job) {
-        self.shared.injector.push(JobUnit::Boxed(job));
-        self.shared.notify_one();
-    }
-
     /// Spawns a job onto a queue group's injector: only that group's workers
     /// will run it.  If the executing worker itself belongs to the group, the
     /// job goes onto its own deque instead (depth-first locality); with a
@@ -329,93 +324,6 @@ impl WorkerCtx<'_> {
     }
 }
 
-/// The pool's bounded-injection admission layer (see
-/// [`ThreadPool::with_admission`]): enforces the configured high-water mark on
-/// *outstanding* admitted external jobs and carries the per-policy machinery
-/// (block condvar, Degrade overflow queue).
-struct AdmissionState {
-    config: AdmissionConfig,
-    /// Admitted external jobs not yet finished executing.  Bounded paths only
-    /// ever raise it through [`AdmissionState::try_reserve`]'s CAS, so it can
-    /// never exceed `config.high_water` except through [`Priority::High`]
-    /// submissions under [`OverloadPolicy::Degrade`] (the documented
-    /// criticality exception).
-    outstanding: AtomicUsize,
-    /// High-water-mark observation of `outstanding` (for tests / stats).
-    max_outstanding: AtomicUsize,
-    /// FIFO of low-priority jobs parked by [`OverloadPolicy::Degrade`];
-    /// pumped one per completed job.
-    overflow: Mutex<VecDeque<Job>>,
-    /// Blocked [`OverloadPolicy::Block`] submitters park here; completions
-    /// notify.  Waits use a short timeout, so a lost notification costs
-    /// latency, never progress (the same discipline as the worker condvar).
-    submit_mutex: Mutex<()>,
-    submit_condvar: Condvar,
-}
-
-impl AdmissionState {
-    fn new(config: AdmissionConfig) -> Self {
-        AdmissionState {
-            config,
-            outstanding: AtomicUsize::new(0),
-            max_outstanding: AtomicUsize::new(0),
-            overflow: Mutex::new(VecDeque::new()),
-            submit_mutex: Mutex::new(()),
-            submit_condvar: Condvar::new(),
-        }
-    }
-
-    /// Attempts to reserve one admission slot without exceeding the
-    /// high-water mark.  CAS from a below-the-mark value only, so concurrent
-    /// submitters cannot collectively overshoot.
-    fn try_reserve(&self) -> bool {
-        let mut cur = self.outstanding.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.config.high_water {
-                return false;
-            }
-            match self.outstanding.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.note_watermark(cur + 1);
-                    return true;
-                }
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Reserves a slot unconditionally ([`Priority::High`] under
-    /// [`OverloadPolicy::Degrade`]: critical work is never refused).
-    fn force_reserve(&self) {
-        let now = self.outstanding.fetch_add(1, Ordering::AcqRel) + 1;
-        self.note_watermark(now);
-    }
-
-    fn note_watermark(&self, observed: usize) {
-        self.max_outstanding.fetch_max(observed, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time view of the admission layer (see
-/// [`ThreadPool::admission_stats`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdmissionSnapshot {
-    /// Admitted external jobs currently outstanding.  A job's slot is
-    /// released only after its closure returns or its panic is caught, so
-    /// the job's own side effects can be seen while it still counts here; a
-    /// caller that needs `outstanding == 0` must wait for it.
-    pub outstanding: usize,
-    /// The largest `outstanding` ever observed.
-    pub max_outstanding: usize,
-    /// Low-priority jobs currently parked in the Degrade overflow queue.
-    pub overflow_queued: usize,
-}
-
 struct Shared {
     injector: Injector<JobUnit>,
     /// One FIFO injector per queue group (see [`PoolTopology`]).
@@ -435,13 +343,6 @@ struct Shared {
     /// worker loop, graph strands in the dataflow executor).  The worker
     /// survives every one of these.
     panicked: AtomicU64,
-    /// External submissions refused under [`OverloadPolicy::Shed`].
-    shed: AtomicU64,
-    /// External submissions parked in the overflow queue under
-    /// [`OverloadPolicy::Degrade`].
-    degraded: AtomicU64,
-    /// The admission layer; `None` = unbounded injection (the default).
-    admission: Option<AdmissionState>,
     /// The pool's tracing sink: one event ring per worker plus one for
     /// external threads, disabled (one relaxed load per potential event)
     /// until a `TraceSession` starts.  Its `Instant` epoch is calibrated
@@ -542,75 +443,6 @@ impl Shared {
         self.panicked.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Releases the admission slot of a finished [`JobUnit::Admitted`] job:
-    /// decrements `outstanding`, wakes blocked submitters, and (under
-    /// [`OverloadPolicy::Degrade`]) pumps the next parked low-priority job —
-    /// at most one, because the pump reserves a slot first.
-    fn complete_admitted(&self) {
-        let Some(adm) = &self.admission else { return };
-        adm.outstanding.fetch_sub(1, Ordering::AcqRel);
-        {
-            // Take the lock before notifying so a submitter between its failed
-            // reserve and its wait cannot miss the wakeup (waits also time
-            // out, so even a missed one only costs latency).
-            let _guard = adm.submit_mutex.lock();
-            adm.submit_condvar.notify_all();
-        }
-        if adm.config.policy == OverloadPolicy::Degrade {
-            self.pump_overflow();
-        }
-    }
-
-    /// Injects parked Degrade jobs while both a free admission slot and a
-    /// parked job exist.  Shared by the completion path and the submit path
-    /// (the latter covers the race where the pool drains to idle between a
-    /// failed reserve and the overflow push).
-    ///
-    /// The emptiness check, the reserve and the pop happen under the
-    /// `overflow` lock, so a slot is only ever taken for a job that is
-    /// popped.  Reserving first and handing the slot back on an empty queue
-    /// would let `outstanding` count a job that does not exist, and a
-    /// concurrent pump that failed to reserve against that phantom slot
-    /// would leave a freshly parked job stranded beside a free slot.
-    fn pump_overflow(&self) {
-        let Some(adm) = &self.admission else { return };
-        loop {
-            let job = {
-                let mut overflow = adm.overflow.lock();
-                if overflow.is_empty() || !adm.try_reserve() {
-                    return;
-                }
-                overflow
-                    .pop_front()
-                    .expect("checked non-empty under the lock")
-            };
-            self.injector.push(JobUnit::Admitted(job));
-            self.notify_one();
-        }
-    }
-
-    /// Records a Shed/Degrade admission event (emitted from the submitting
-    /// thread's external ring) if tracing.  `a` is the policy wire code.
-    #[inline]
-    fn trace_shed(&self, policy: OverloadPolicy) {
-        if self.trace_enabled() {
-            let now = self.tracer.now_ns();
-            let ring = self.tracer.external_ring();
-            self.tracer.record(
-                ring,
-                &TraceEvent {
-                    kind: EventKind::Shed,
-                    worker: ring as u32,
-                    task: NO_TASK,
-                    t0_ns: now,
-                    t1_ns: now,
-                    a: policy.kind_wire(),
-                    b: 0,
-                },
-            );
-        }
-    }
-
     /// Records an enqueue event (which queue, which group) if tracing.
     #[inline]
     fn trace_enqueue(&self, ring: usize, task: u32, queue: QueueKind, group: u32) {
@@ -654,29 +486,6 @@ impl ThreadPool {
     /// # Panics
     /// Panics if the topology is inconsistent (see [`PoolTopology`]).
     pub fn with_topology(topology: PoolTopology) -> Self {
-        ThreadPool::with_topology_and_admission(topology, None)
-    }
-
-    /// Creates a flat pool with a bounded-injection admission layer: at most
-    /// `config.high_water` external jobs outstanding at once, overflow
-    /// handled per `config.policy` (see [`AdmissionConfig`]).
-    ///
-    /// # Panics
-    /// Panics if `num_threads` is zero.
-    pub fn with_admission(num_threads: usize, config: AdmissionConfig) -> Self {
-        assert!(num_threads > 0, "a thread pool needs at least one thread");
-        ThreadPool::with_topology_and_admission(PoolTopology::flat(num_threads), Some(config))
-    }
-
-    /// The general constructor: a pool with the given `topology` and an
-    /// optional admission layer.
-    ///
-    /// # Panics
-    /// Panics if the topology is inconsistent (see [`PoolTopology`]).
-    pub fn with_topology_and_admission(
-        topology: PoolTopology,
-        admission: Option<AdmissionConfig>,
-    ) -> Self {
         topology.validate();
         let num_threads = topology.num_threads;
         let deques: Vec<Deque<JobUnit>> = (0..num_threads).map(|_| Deque::new_lifo()).collect();
@@ -694,9 +503,6 @@ impl ThreadPool {
             executed: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            admission: admission.map(AdmissionState::new),
             tracer: Arc::new(Tracer::new(num_threads)),
             #[cfg(feature = "chaos")]
             chaos_on: AtomicBool::new(false),
@@ -740,151 +546,8 @@ impl ThreadPool {
     }
 
     /// Submits a job from outside the pool (goes to the global injector).
-    ///
-    /// On a pool built with an admission layer this is
-    /// `submit(Priority::High, job)` — under [`OverloadPolicy::Shed`] a spawn
-    /// past the high-water mark is refused (and counted); use
-    /// [`ThreadPool::submit`] to observe the outcome.
     pub fn spawn(&self, job: Job) {
-        let _ = self.submit(Priority::High, job);
-    }
-
-    /// Submits an external job through the admission layer, reporting what
-    /// happened to it.  On a pool without an admission layer every submission
-    /// is admitted unconditionally.
-    ///
-    /// `priority` matters only under [`OverloadPolicy::Degrade`]: high-
-    /// priority jobs are always admitted (the high-water mark may be
-    /// exceeded by critical work), low-priority jobs past the mark are
-    /// parked in a FIFO overflow queue and injected one per completion.
-    pub fn submit(&self, priority: Priority, job: Job) -> SubmitOutcome {
-        let Some(adm) = &self.shared.admission else {
-            self.spawn_unit(JobUnit::Boxed(job));
-            return SubmitOutcome::Admitted;
-        };
-        if adm.try_reserve() {
-            self.spawn_unit(JobUnit::Admitted(job));
-            return SubmitOutcome::Admitted;
-        }
-        match adm.config.policy {
-            OverloadPolicy::Block => {
-                // Backpressure: park until a completion frees a slot.  The
-                // short timeout mirrors the worker condvar discipline — a
-                // lost notification costs a millisecond, never progress.
-                let mut guard = adm.submit_mutex.lock();
-                loop {
-                    if adm.try_reserve() {
-                        drop(guard);
-                        self.spawn_unit(JobUnit::Admitted(job));
-                        return SubmitOutcome::Admitted;
-                    }
-                    adm.submit_condvar
-                        .wait_for(&mut guard, Duration::from_millis(1));
-                }
-            }
-            OverloadPolicy::Shed => {
-                self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                self.shared.trace_shed(OverloadPolicy::Shed);
-                SubmitOutcome::Shed
-            }
-            OverloadPolicy::Degrade => match priority {
-                Priority::High => {
-                    adm.force_reserve();
-                    self.spawn_unit(JobUnit::Admitted(job));
-                    SubmitOutcome::Admitted
-                }
-                Priority::Low => {
-                    self.shared.degraded.fetch_add(1, Ordering::Relaxed);
-                    self.shared.trace_shed(OverloadPolicy::Degrade);
-                    adm.overflow.lock().push_back(job);
-                    // Re-pump in case the pool drained to idle between our
-                    // failed reserve and the push — otherwise a parked job
-                    // could wait for a completion that never comes.
-                    self.shared.pump_overflow();
-                    SubmitOutcome::Degraded
-                }
-            },
-        }
-    }
-
-    /// [`ThreadPool::submit`] with a bound on how long [`OverloadPolicy::Block`]
-    /// backpressure may park the caller.
-    ///
-    /// Behaves exactly like `submit` for every policy except `Block`: there,
-    /// instead of waiting forever for a completion to free a slot, the caller
-    /// waits at most `timeout` and then gets the job handed back as
-    /// `Err(job)` (mirroring [`ThreadPool::try_submit`]) — nothing was
-    /// admitted, counted, or spawned.  A serving layer's admission path can
-    /// therefore never wedge on a saturated pool: it bounds the wait, takes
-    /// the job back, and applies its own policy (re-queue, shed, drain).
-    pub fn submit_timeout(
-        &self,
-        priority: Priority,
-        job: Job,
-        timeout: Duration,
-    ) -> Result<SubmitOutcome, Job> {
-        let Some(adm) = &self.shared.admission else {
-            self.spawn_unit(JobUnit::Boxed(job));
-            return Ok(SubmitOutcome::Admitted);
-        };
-        if adm.try_reserve() {
-            self.spawn_unit(JobUnit::Admitted(job));
-            return Ok(SubmitOutcome::Admitted);
-        }
-        if adm.config.policy != OverloadPolicy::Block {
-            return Ok(self.submit(priority, job));
-        }
-        // Bounded backpressure: park in 1 ms slices (the pool-wide condvar
-        // discipline — a lost notification costs a millisecond, never
-        // progress) until a slot frees or the deadline passes.
-        let deadline = Instant::now() + timeout;
-        let mut guard = adm.submit_mutex.lock();
-        loop {
-            if adm.try_reserve() {
-                drop(guard);
-                self.spawn_unit(JobUnit::Admitted(job));
-                return Ok(SubmitOutcome::Admitted);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(job);
-            }
-            let slice = (deadline - now).min(Duration::from_millis(1));
-            adm.submit_condvar.wait_for(&mut guard, slice);
-        }
-    }
-
-    /// Non-blocking admission: admits the job if a slot is free, otherwise
-    /// returns it to the caller (regardless of policy — no blocking, no
-    /// parking, no counting).  `Err(job)` gives the job back for retry,
-    /// redirect, or drop.
-    pub fn try_submit(&self, job: Job) -> Result<(), Job> {
-        let Some(adm) = &self.shared.admission else {
-            self.spawn_unit(JobUnit::Boxed(job));
-            return Ok(());
-        };
-        if adm.try_reserve() {
-            self.spawn_unit(JobUnit::Admitted(job));
-            Ok(())
-        } else {
-            Err(job)
-        }
-    }
-
-    /// A point-in-time view of the admission layer, or `None` on a pool
-    /// without one.
-    ///
-    /// A worker releases a job's slot only after the job's closure returns
-    /// or its panic is caught, so a read made right after the job's last
-    /// side effect became visible may still count that job as outstanding.
-    /// To observe a drained pool, wait until `outstanding == 0` rather than
-    /// reading it once after the jobs' own signals.
-    pub fn admission_stats(&self) -> Option<AdmissionSnapshot> {
-        self.shared.admission.as_ref().map(|adm| AdmissionSnapshot {
-            outstanding: adm.outstanding.load(Ordering::Relaxed),
-            max_outstanding: adm.max_outstanding.load(Ordering::Relaxed),
-            overflow_queued: adm.overflow.lock().len(),
-        })
+        self.spawn_unit(JobUnit::Boxed(job));
     }
 
     /// Submits a job restricted to one queue group's workers.
@@ -945,16 +608,6 @@ impl ThreadPool {
         self.shared.panicked.load(Ordering::Relaxed)
     }
 
-    /// Total external submissions refused under [`OverloadPolicy::Shed`].
-    pub fn jobs_shed(&self) -> u64 {
-        self.shared.shed.load(Ordering::Relaxed)
-    }
-
-    /// Total external submissions parked under [`OverloadPolicy::Degrade`].
-    pub fn jobs_degraded(&self) -> u64 {
-        self.shared.degraded.load(Ordering::Relaxed)
-    }
-
     /// A point-in-time snapshot of the pool's scheduling counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
@@ -962,8 +615,6 @@ impl ThreadPool {
             steals: self.steals(),
             steals_by_distance: self.steals_by_distance(),
             jobs_panicked: self.jobs_panicked(),
-            jobs_shed: self.jobs_shed(),
-            jobs_degraded: self.jobs_degraded(),
         }
     }
 
@@ -1025,10 +676,6 @@ pub struct PoolStats {
     pub steals_by_distance: Vec<u64>,
     /// Panics caught at the pool's execution sites (workers all survived).
     pub jobs_panicked: u64,
-    /// External submissions refused under [`OverloadPolicy::Shed`].
-    pub jobs_shed: u64,
-    /// External submissions parked under [`OverloadPolicy::Degrade`].
-    pub jobs_degraded: u64,
 }
 
 impl PoolStats {
@@ -1046,8 +693,6 @@ impl PoolStats {
                 .map(|(d, &n)| n - earlier.steals_by_distance.get(d).copied().unwrap_or(0))
                 .collect(),
             jobs_panicked: self.jobs_panicked - earlier.jobs_panicked,
-            jobs_shed: self.jobs_shed - earlier.jobs_shed,
-            jobs_degraded: self.jobs_degraded - earlier.jobs_degraded,
         }
     }
 }
@@ -1146,7 +791,6 @@ fn worker_loop(index: usize, local: Deque<JobUnit>, shared: Arc<Shared>) {
                     shared: &shared,
                 };
                 shared.chaos_on_unit(index);
-                let admitted = matches!(unit, JobUnit::Admitted(_));
                 // Count the job before running it so that anyone released by a latch
                 // the job signals observes an up-to-date counter.
                 shared.executed.fetch_add(1, Ordering::Relaxed);
@@ -1158,9 +802,6 @@ fn worker_loop(index: usize, local: Deque<JobUnit>, shared: Arc<Shared>) {
                 // catch is their backstop and the boxed jobs' only net.
                 if catch_unwind(AssertUnwindSafe(|| unit.run(&ctx))).is_err() {
                     shared.note_panicked();
-                }
-                if admitted {
-                    shared.complete_admitted();
                 }
             }
             None => {
@@ -1470,259 +1111,5 @@ mod tests {
         let after = pool.stats().since(&before);
         assert_eq!(after.jobs_panicked, n as u64);
         assert!(after.jobs_executed >= 2 * n as u64);
-    }
-
-    /// Parks a job on the pool that spins until `release` is set, occupying
-    /// one admission slot.
-    fn spawn_blocker(pool: &ThreadPool, release: &Arc<AtomicBool>) -> SubmitOutcome {
-        let release = Arc::clone(release);
-        pool.submit(
-            Priority::High,
-            Box::new(move |_| {
-                let deadline = std::time::Instant::now() + Duration::from_secs(10);
-                while !release.load(Ordering::SeqCst) {
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "blocker never released"
-                    );
-                    std::hint::spin_loop();
-                }
-            }),
-        )
-    }
-
-    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !cond() {
-            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn shed_policy_refuses_past_high_water_and_counts() {
-        let pool = ThreadPool::with_admission(2, AdmissionConfig::new(1, OverloadPolicy::Shed));
-        let release = Arc::new(AtomicBool::new(false));
-        assert_eq!(spawn_blocker(&pool, &release), SubmitOutcome::Admitted);
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..5 {
-            let ran = Arc::clone(&ran);
-            let outcome = pool.submit(
-                Priority::High,
-                Box::new(move |_| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                }),
-            );
-            assert_eq!(outcome, SubmitOutcome::Shed);
-        }
-        assert_eq!(pool.jobs_shed(), 5);
-        release.store(true, Ordering::SeqCst);
-        wait_until("slot released", || {
-            pool.admission_stats().unwrap().outstanding == 0
-        });
-        // Shed jobs never ran; the pool is immediately usable again.
-        assert_eq!(ran.load(Ordering::SeqCst), 0);
-        let ok = Arc::clone(&ran);
-        assert_eq!(
-            pool.submit(
-                Priority::High,
-                Box::new(move |_| {
-                    ok.fetch_add(1, Ordering::SeqCst);
-                })
-            ),
-            SubmitOutcome::Admitted
-        );
-        wait_until("post-shed job ran", || ran.load(Ordering::SeqCst) == 1);
-        assert_eq!(pool.admission_stats().unwrap().max_outstanding, 1);
-    }
-
-    #[test]
-    fn degrade_policy_parks_low_priority_and_trickles_it_through() {
-        let pool = ThreadPool::with_admission(2, AdmissionConfig::new(1, OverloadPolicy::Degrade));
-        let release = Arc::new(AtomicBool::new(false));
-        assert_eq!(spawn_blocker(&pool, &release), SubmitOutcome::Admitted);
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..3 {
-            let ran = Arc::clone(&ran);
-            let outcome = pool.submit(
-                Priority::Low,
-                Box::new(move |_| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                }),
-            );
-            assert_eq!(outcome, SubmitOutcome::Degraded);
-        }
-        assert_eq!(pool.jobs_degraded(), 3);
-        assert_eq!(pool.admission_stats().unwrap().overflow_queued, 3);
-        assert_eq!(ran.load(Ordering::SeqCst), 0, "parked jobs must wait");
-        release.store(true, Ordering::SeqCst);
-        // One slot frees → parked jobs trickle through one at a time.
-        wait_until("all degraded jobs ran", || ran.load(Ordering::SeqCst) == 3);
-        wait_until("pool drained", || {
-            pool.admission_stats().unwrap().outstanding == 0
-        });
-        assert_eq!(pool.admission_stats().unwrap().overflow_queued, 0);
-        // The bounded paths never exceeded the mark.
-        assert_eq!(pool.admission_stats().unwrap().max_outstanding, 1);
-    }
-
-    #[test]
-    fn pump_on_an_empty_overflow_queue_takes_no_slot() {
-        // With nothing parked, a pump must not reserve a slot even for a
-        // moment: `outstanding` (and its watermark) count admitted jobs only.
-        let pool = ThreadPool::with_admission(1, AdmissionConfig::new(1, OverloadPolicy::Degrade));
-        pool.shared.pump_overflow();
-        assert_eq!(
-            pool.admission_stats().unwrap(),
-            AdmissionSnapshot {
-                outstanding: 0,
-                max_outstanding: 0,
-                overflow_queued: 0,
-            }
-        );
-    }
-
-    #[test]
-    fn block_policy_applies_backpressure() {
-        let pool = Arc::new(ThreadPool::with_admission(
-            2,
-            AdmissionConfig::new(1, OverloadPolicy::Block),
-        ));
-        let release = Arc::new(AtomicBool::new(false));
-        assert_eq!(spawn_blocker(&pool, &release), SubmitOutcome::Admitted);
-        let ran = Arc::new(AtomicBool::new(false));
-        let submitter = {
-            let pool = Arc::clone(&pool);
-            let ran = Arc::clone(&ran);
-            std::thread::spawn(move || {
-                let ran = Arc::clone(&ran);
-                pool.submit(
-                    Priority::High,
-                    Box::new(move |_| {
-                        ran.store(true, Ordering::SeqCst);
-                    }),
-                )
-            })
-        };
-        // The submitter must be blocked while the slot is occupied.
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(!ran.load(Ordering::SeqCst), "submission must be blocked");
-        release.store(true, Ordering::SeqCst);
-        assert_eq!(submitter.join().unwrap(), SubmitOutcome::Admitted);
-        wait_until("blocked job ran after release", || {
-            ran.load(Ordering::SeqCst)
-        });
-        assert_eq!(pool.admission_stats().unwrap().max_outstanding, 1);
-    }
-
-    #[test]
-    fn try_submit_returns_the_job_when_full() {
-        let pool = ThreadPool::with_admission(1, AdmissionConfig::new(1, OverloadPolicy::Block));
-        let release = Arc::new(AtomicBool::new(false));
-        assert_eq!(spawn_blocker(&pool, &release), SubmitOutcome::Admitted);
-        let rejected = pool.try_submit(Box::new(|_| {}));
-        assert!(rejected.is_err(), "full pool must hand the job back");
-        release.store(true, Ordering::SeqCst);
-        wait_until("slot released", || {
-            pool.admission_stats().unwrap().outstanding == 0
-        });
-        assert!(pool.try_submit(rejected.unwrap_err()).is_ok());
-    }
-
-    /// Regression test for the unbounded Block wait: `submit_timeout` must
-    /// hand the job back once the deadline passes instead of parking forever,
-    /// and must admit normally when a slot frees in time.
-    #[test]
-    fn submit_timeout_bounds_block_backpressure() {
-        let pool = Arc::new(ThreadPool::with_admission(
-            2,
-            AdmissionConfig::new(1, OverloadPolicy::Block),
-        ));
-        let release = Arc::new(AtomicBool::new(false));
-        assert_eq!(spawn_blocker(&pool, &release), SubmitOutcome::Admitted);
-
-        // Saturated pool: the bounded wait must expire and return the job.
-        let t0 = std::time::Instant::now();
-        let back = pool.submit_timeout(
-            Priority::High,
-            Box::new(|_| panic!("must not run")),
-            Duration::from_millis(30),
-        );
-        let waited = t0.elapsed();
-        let job = match back {
-            Err(job) => job,
-            Ok(out) => panic!("saturated Block pool must time out, got {out:?}"),
-        };
-        assert!(
-            waited >= Duration::from_millis(30),
-            "returned before the deadline: {waited:?}"
-        );
-        assert!(
-            waited < Duration::from_secs(5),
-            "wait did not stay near the deadline: {waited:?}"
-        );
-        drop(job); // nothing was admitted or counted
-        assert_eq!(pool.admission_stats().unwrap().outstanding, 1);
-
-        // Free the slot mid-wait: the same call must admit and run the job.
-        let ran = Arc::new(AtomicBool::new(false));
-        let submitter = {
-            let pool = Arc::clone(&pool);
-            let ran = Arc::clone(&ran);
-            std::thread::spawn(move || {
-                let ran = Arc::clone(&ran);
-                pool.submit_timeout(
-                    Priority::High,
-                    Box::new(move |_| {
-                        ran.store(true, Ordering::SeqCst);
-                    }),
-                    Duration::from_secs(10),
-                )
-            })
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        release.store(true, Ordering::SeqCst);
-        assert_eq!(
-            submitter.join().unwrap().ok(),
-            Some(SubmitOutcome::Admitted)
-        );
-        wait_until("timed submission ran after release", || {
-            ran.load(Ordering::SeqCst)
-        });
-        // The bounded path never exceeded the high-water mark.
-        assert_eq!(pool.admission_stats().unwrap().max_outstanding, 1);
-    }
-
-    /// `submit_timeout` on a pool without admission (or under a non-Block
-    /// policy) behaves exactly like `submit` — it never blocks, so the
-    /// timeout is irrelevant.
-    #[test]
-    fn submit_timeout_matches_submit_off_the_block_path() {
-        let pool = ThreadPool::new(2);
-        let ran = Arc::new(AtomicBool::new(false));
-        let r2 = Arc::clone(&ran);
-        let out = pool.submit_timeout(
-            Priority::Low,
-            Box::new(move |_| r2.store(true, Ordering::SeqCst)),
-            Duration::from_millis(1),
-        );
-        assert_eq!(out.ok(), Some(SubmitOutcome::Admitted));
-        wait_until("job ran", || ran.load(Ordering::SeqCst));
-
-        let shed_pool =
-            ThreadPool::with_admission(1, AdmissionConfig::new(1, OverloadPolicy::Shed));
-        let release = Arc::new(AtomicBool::new(false));
-        assert_eq!(spawn_blocker(&shed_pool, &release), SubmitOutcome::Admitted);
-        let out = shed_pool.submit_timeout(
-            Priority::Low,
-            Box::new(|_| panic!("must not run")),
-            Duration::from_secs(10),
-        );
-        assert_eq!(
-            out.ok(),
-            Some(SubmitOutcome::Shed),
-            "Shed policy never waits"
-        );
-        release.store(true, Ordering::SeqCst);
     }
 }

@@ -1,7 +1,7 @@
 //! Per-tenant QoS envelopes: token-bucket rate limiting, an
-//! outstanding-job cap, and a priority class mapped onto the runtime's
-//! admission [`Priority`] semantics — one tenant's burst cannot starve
-//! another.
+//! outstanding-job cap, and a [`Priority`] class that picks the tenant's
+//! ready queue (the server dequeues `ready_high` before `ready_low`) — one
+//! tenant's burst cannot starve another.
 
 use crate::clock::ServeClock;
 use crate::error::ServeError;
@@ -18,9 +18,8 @@ pub struct TenantConfig {
     pub burst: f64,
     /// Maximum jobs accepted but not yet terminal.
     pub max_outstanding: usize,
-    /// Scheduling class: `High` tenants' jobs are dequeued before `Low`
-    /// tenants' (the same two-level discipline as the pool's admission
-    /// layer under `Degrade`).
+    /// Scheduling class: the server keeps one ready queue per class and
+    /// dequeues `High` tenants' jobs before `Low` tenants'.
     pub priority: Priority,
 }
 

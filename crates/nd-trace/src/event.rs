@@ -47,10 +47,7 @@ pub enum EventKind {
     /// task (or [`NO_TASK`] for run-level faults), `a` the `RunError` wire
     /// kind (0 = panic, 1 = deadline exceeded).
     Fault = 7,
-    /// An external submission hit the admission layer's high-water mark and
-    /// was refused or parked.  `a` is the `OverloadPolicy` wire kind
-    /// (1 = shed/refused, 2 = degrade/parked).
-    Shed = 8,
+    // Wire code 8 is unassigned; the kinds after it keep their codes.
     /// The serving layer re-queued a faulted job for another attempt.  `a` is
     /// the attempt number being retried *from* (1 = first retry), `b` the
     /// backoff delay in microseconds.
@@ -78,7 +75,6 @@ impl EventKind {
             5 => EventKind::RunBegin,
             6 => EventKind::RunEnd,
             7 => EventKind::Fault,
-            8 => EventKind::Shed,
             9 => EventKind::Retry,
             10 => EventKind::Breaker,
             11 => EventKind::Drain,
@@ -97,7 +93,6 @@ impl EventKind {
             EventKind::RunBegin => "run_begin",
             EventKind::RunEnd => "run_end",
             EventKind::Fault => "fault",
-            EventKind::Shed => "shed",
             EventKind::Retry => "retry",
             EventKind::Breaker => "breaker",
             EventKind::Drain => "drain",
@@ -229,13 +224,14 @@ mod tests {
             EventKind::RunBegin,
             EventKind::RunEnd,
             EventKind::Fault,
-            EventKind::Shed,
             EventKind::Retry,
             EventKind::Breaker,
             EventKind::Drain,
         ] {
             assert_eq!(EventKind::from_wire(kind as u8), Some(kind));
         }
+        // Wire code 8 stays unassigned (see `EventKind`).
+        assert_eq!(EventKind::from_wire(8), None);
         assert_eq!(EventKind::from_wire(200), None);
     }
 

@@ -132,20 +132,6 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                     us(e.t0_ns),
                 );
             }
-            EventKind::Shed => {
-                let policy = match e.a {
-                    0 => "block",
-                    1 => "shed",
-                    2 => "degrade",
-                    _ => "?",
-                };
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"shed\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{},\"pid\":1,\"tid\":{tid},\"args\":{{\"policy\":\"{policy}\"}}}}",
-                    us(e.t0_ns),
-                );
-            }
             EventKind::Retry => {
                 let task = i64::from(e.task as i32);
                 let _ = write!(
@@ -217,7 +203,7 @@ pub fn metrics_summary_json(trace: &Trace) -> String {
         "{{\"events\": {}, \"dropped\": {}, \"wall_ns\": {}, \"exec_spans\": {}, \
          \"claims\": {}, \"inline_execs\": {}, \"steals\": {}, \"enqueues\": {}, \
          \"busy_ns_total\": {}, \"critical_path_ns\": {}, \"critical_path_tasks\": {}, \
-         \"faults\": {}, \"sheds\": {}, \"retries\": {}, \"breaker_transitions\": {}, \
+         \"faults\": {}, \"retries\": {}, \"breaker_transitions\": {}, \
          \"drain_events\": {}",
         trace.events.len(),
         trace.dropped,
@@ -231,7 +217,6 @@ pub fn metrics_summary_json(trace: &Trace) -> String {
         m.critical_path_ns,
         m.critical_path_tasks,
         m.faults,
-        m.sheds,
         m.retries,
         m.breaker_transitions,
         m.drain_events,

@@ -124,8 +124,6 @@ pub struct TraceMetrics {
     pub busy_ns_total: u64,
     /// Run faults observed (caught strand panics + blown deadlines).
     pub faults: u64,
-    /// External submissions refused or parked by the admission layer.
-    pub sheds: u64,
     /// Serving-layer retry re-queues (a faulted job scheduled for rerun).
     pub retries: u64,
     /// Serving-layer circuit-breaker state transitions.
@@ -280,7 +278,6 @@ fn derive_metrics(
                 }
             }
             EventKind::Fault => m.faults += 1,
-            EventKind::Shed => m.sheds += 1,
             EventKind::Retry => m.retries += 1,
             EventKind::Breaker => m.breaker_transitions += 1,
             EventKind::Drain => m.drain_events += 1,

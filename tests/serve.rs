@@ -1,6 +1,7 @@
 //! Integration tests for the nd-serve serving layer against real pools across
 //! the worker matrix (1 / 2 / 8 via `ND_POOL_WORKERS`): happy-path serving
-//! with digest identity, QoS envelopes (rate limit + outstanding cap),
+//! with digest identity, QoS envelopes (rate limit + outstanding cap, and the
+//! slot-release-before-outcome order a resubmitting client relies on),
 //! circuit-breaker trip/fast-reject/recovery, and graceful drain under load.
 
 mod common;
@@ -187,6 +188,34 @@ fn outstanding_cap_tracks_terminal_outcomes() {
         "terminal outcomes release the cap"
     );
     server.shutdown(Duration::from_millis(10));
+}
+
+/// The server frees a tenant's outstanding slot *before* it sends the job's
+/// outcome, so a client that resubmits the moment `wait()` returns is never
+/// refused with `TenantBusy`, even at a cap of one.
+#[test]
+fn resubmit_after_wait_is_never_refused_as_busy() {
+    for workers in pool_sizes() {
+        let server = server_on(workers, ServeConfig::default());
+        server.register_tenant(
+            "serial",
+            TenantConfig {
+                max_outstanding: 1,
+                rate_per_sec: f64::INFINITY,
+                ..TenantConfig::default()
+            },
+        );
+        for i in 0..2_000u64 {
+            match server.submit("serial", mm(i)) {
+                Ok(ticket) => assert!(ticket.wait().is_done()),
+                Err(err) => panic!("workers={workers} iteration {i}: resubmit refused: {err:?}"),
+            }
+        }
+        let h = server.health();
+        assert_eq!(h.tenants[0].busy, 0);
+        assert_eq!(h.done, 2_000);
+        assert!(server.shutdown(Duration::from_secs(10)).completed);
+    }
 }
 
 /// A poisoned spec (always-faulting graph) exhausts its retry budget into a

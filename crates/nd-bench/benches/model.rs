@@ -1,6 +1,6 @@
 //! Model-side benchmarks: cost of unfolding spawn trees + running the DAG Rewriting
 //! System, of the analysis metrics, and of the space-bounded scheduler simulation —
-//! plus the σ-dilation ablation of DESIGN.md §8.
+//! plus a σ-dilation ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nd_algorithms::common::Mode;
@@ -49,7 +49,7 @@ fn bench_sb_simulation(c: &mut Criterion) {
 }
 
 fn bench_sigma_ablation(c: &mut Criterion) {
-    // DESIGN.md §8: the dilation parameter σ trades cache headroom against the
+    // The dilation parameter σ trades cache headroom against the
     // granularity of anchored tasks.  Completion time is the interesting output; the
     // bench reports the simulation cost, the exp_sched binary reports the times.
     let built = build_trs(128, 8, Mode::Nd);

@@ -1,6 +1,5 @@
 //! E12: real wall-clock execution on the work-stealing runtime — NP versus ND for
-//! TRS, Cholesky, LCS and MM — plus the base-case-size ablation called out in
-//! DESIGN.md §8.
+//! TRS, Cholesky, LCS and MM — plus a base-case-size ablation.
 //!
 //! Both models run through the *same* dataflow executor; only the dependency DAG
 //! differs, so the comparison isolates the programming model.
@@ -109,7 +108,7 @@ fn bench_mm(c: &mut Criterion) {
 }
 
 fn bench_base_case_ablation(c: &mut Criterion) {
-    // DESIGN.md §8: the base-case (strand) size trades scheduler overhead against
+    // The base-case (strand) size trades scheduler overhead against
     // exposed parallelism.
     let pool = ThreadPool::with_available_parallelism();
     let n = 512;

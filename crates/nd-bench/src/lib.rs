@@ -1,7 +1,8 @@
 //! # nd-bench — the experiment harness
 //!
 //! Each binary in `src/bin/` regenerates one of the analytical "tables/figures" of
-//! the paper (see DESIGN.md §5 and EXPERIMENTS.md for the index):
+//! the paper (the index below; PAPER.md's section map places each one in the
+//! paper):
 //!
 //! * `exp_spans` — E1–E7: NP vs ND spans for every algorithm, with fitted growth
 //!   exponents (the `Θ(n log n)` → `Θ(n)` collapses).

@@ -9,7 +9,8 @@
 //!
 //! Usage: `verify_model [--max-tasks N] [--samples K]` (defaults: 6, 200).
 //! `--samples` additionally replays K model-sampled schedules through the
-//! real executor (the conformance loop).
+//! real executor (the conformance loop).  Finally every deliberate
+//! [`Mutation`] must yield a counterexample, or the checker itself is broken.
 
 use nd_model::{
     check, enumerate_dags, replay_through_executor, sample_schedule, CheckStats, Config, Fault,
@@ -132,14 +133,56 @@ fn main() -> ExitCode {
         conf_start.elapsed()
     );
 
-    // The checker must still catch regressions: one smoke mutation.
-    let fork = nd_model::Dag::from_edges(3, &[(0, 1), (0, 2)]);
-    let mut broken = Config::new(fork, 1, Fault::None);
-    broken.mutation = Mutation::SpawnReadyTwice;
-    if check(broken).is_ok() {
-        eprintln!("SELF-CHECK FAILURE: the checker accepted a deliberately-broken protocol");
-        return ExitCode::FAILURE;
+    // The checker must still catch regressions: every deliberate mutation
+    // must produce a counterexample somewhere in the (clean, deadline, panic
+    // at each strand) sweep over shapes of up to four tasks.
+    let mutation_start = Instant::now();
+    for mutation in [
+        Mutation::SkipCounterRestore,
+        Mutation::SkipDrainCountDown,
+        Mutation::DropSecondReady,
+        Mutation::SpawnReadyTwice,
+        Mutation::SharedResultSlot,
+        Mutation::DropChainBatch,
+    ] {
+        match first_counterexample(mutation, 4.min(max_tasks)) {
+            Some(found) => println!("self-check: {mutation:?} caught — {found}"),
+            None => {
+                eprintln!(
+                    "SELF-CHECK FAILURE: the checker accepted the deliberately-broken {mutation:?}"
+                );
+                return ExitCode::FAILURE;
+            }
+        }
     }
-    println!("self-check clean: deliberate regression produced a counterexample");
+    println!(
+        "self-check clean: all 6 deliberate regressions produced counterexamples ({:.1?})",
+        mutation_start.elapsed()
+    );
     ExitCode::SUCCESS
+}
+
+/// Sweeps shapes of up to `max_tasks` tasks × 1–3 workers × every fault
+/// under `mutation` and describes the first counterexample found, if any.
+fn first_counterexample(mutation: Mutation, max_tasks: usize) -> Option<String> {
+    for n in 1..=max_tasks {
+        for dag in enumerate_dags(n) {
+            for workers in 1..=3usize {
+                let mut faults = vec![Fault::None, Fault::DeadlineAnytime];
+                faults.extend((0..n).map(|t| Fault::PanicAt(t as u8)));
+                for fault in faults {
+                    let mut config = Config::new(dag, workers, fault);
+                    config.mutation = mutation;
+                    if let Err(cex) = check(config) {
+                        return Some(format!(
+                            "{} in {n}-task DAG {:?} × {workers} workers × {fault:?}",
+                            cex.violation,
+                            dag.edges()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    None
 }

@@ -248,4 +248,67 @@ mod tests {
         c1.mutation = Mutation::SharedResultSlot;
         check(c1).unwrap();
     }
+
+    #[test]
+    fn drop_chain_batch_never_releases_the_latch() {
+        // 0 → 1 → {2, 3}: task 1 is tail-executed after 0 and then readies
+        // two successors, so the chain 0, 1 ends on the spawn-and-return
+        // exit owing two latch units; counting down only one strands it.
+        let chain_then_fork = Dag::from_edges(4, &[(0, 1), (1, 2), (1, 3)]);
+        let mut c = Config::new(chain_then_fork, 1, Fault::None);
+        c.mutation = Mutation::DropChainBatch;
+        let cex = check(c).unwrap_err();
+        assert!(
+            matches!(
+                cex.violation,
+                Violation::LatchNotReleased { .. } | Violation::Stuck { .. }
+            ),
+            "unexpected violation: {}",
+            cex.violation
+        );
+        assert!(
+            cex.to_string().contains("count_down_by(1)"),
+            "the counterexample ends on the short batch:\n{cex}"
+        );
+        // A fork straight from a root owes nothing beyond its last task, so
+        // the regression only shows once a chain precedes the spill.
+        let fork = Dag::from_edges(3, &[(0, 1), (0, 2)]);
+        let mut c = Config::new(fork, 1, Fault::None);
+        c.mutation = Mutation::DropChainBatch;
+        check(c).unwrap();
+    }
+
+    #[test]
+    fn two_ready_successors_spill_instead_of_tail_executing() {
+        // The executor's tail rule: with two ready successors both go onto
+        // the deque (the held one pushed last) and the worker ends its chain.
+        let fork = Dag::from_edges(3, &[(0, 1), (0, 2)]);
+        let model = Model::new(Config::new(fork, 1, Fault::None));
+        let mut s = model.initial_state();
+        let mut trace = Vec::new();
+        while let Some((action, next)) = model.successors(&s).into_iter().next() {
+            trace.push(action);
+            s = next.unwrap();
+            if matches!(action, Action::CountDown { task: 0, .. }) {
+                break;
+            }
+        }
+        assert!(
+            matches!(
+                trace.last(),
+                Some(Action::CountDown {
+                    tail: None,
+                    batch: 1,
+                    ..
+                })
+            ),
+            "{trace:?}"
+        );
+        assert!(trace.contains(&Action::Spawn {
+            worker: 0,
+            task: 0,
+            succ: 1
+        }));
+        assert_eq!(s.deques[0].as_slice(), &[2, 1]);
+    }
 }

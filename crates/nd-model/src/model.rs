@@ -5,9 +5,10 @@
 //! (`nd-runtime::dataflow::run_graph_task` plus the pool's take/steal paths),
 //! at the granularity of its atomics: taking a task from a queue, the claim
 //! (counter restore + fault gate), the work, each successor `fetch_sub`, the
-//! latch countdown, and the reusable graph's reset.  Safety violations are
-//! reported *on the transition that commits them*, so a counterexample path
-//! ends exactly at the faulty step.
+//! push of a held ready successor, the chain's batched latch count-down, and
+//! the reusable graph's reset.  Safety violations are reported *on the
+//! transition that commits them*, so a counterexample path ends exactly at
+//! the faulty step.
 
 use crate::dag::Dag;
 use crate::state::{Deque, State, WorkerPc, MAX_TASKS, MAX_WORKERS, NO_TASK};
@@ -40,8 +41,9 @@ pub enum Mutation {
     /// count (drops `CompiledGraph::claim_restore`): the re-executed run
     /// finds stale counters.
     SkipCounterRestore,
-    /// Drained claims skip `latch.count_down()`: a cancelled run's latch
-    /// never releases and the drain hangs.
+    /// Drained claims are left out of the chain's batched count-down (the
+    /// code's `done` skips them): a cancelled run's latch never releases and
+    /// the drain hangs.
     SkipDrainCountDown,
     /// Only the first ready successor is scheduled; further ready successors
     /// are dropped instead of pushed — a lost-wakeup deadlock.
@@ -52,6 +54,10 @@ pub enum Mutation {
     /// Every task writes result slot 0 instead of its own slot — the torn
     /// concurrent write the `PivotStore` ownership discipline forbids.
     SharedResultSlot,
+    /// The spawn-and-return chain end counts down only its last task instead
+    /// of the chain's whole batch (`owed + 1`): the tasks tail-executed before
+    /// it are never counted and the latch never releases.
+    DropChainBatch,
 }
 
 /// One model-checking configuration: a DAG shape, a worker count, a fault,
@@ -125,12 +131,20 @@ pub enum Action {
         succ: u8,
         now_ready: bool,
     },
-    /// Worker `worker` counts the latch down after `task`, then tail-executes
-    /// `tail` (or goes idle).
+    /// Worker `worker` ends `task`'s successor loop having found two or more
+    /// ready successors: it pushes the held first one, `succ`, onto its own
+    /// deque too (the others were pushed at their decrements).
+    Spawn { worker: u8, task: u8, succ: u8 },
+    /// Worker `worker` is done with `task`: with a `tail` (exactly one
+    /// successor became ready) it tail-executes it and carries the chain's
+    /// latch debt along without touching the latch; without one the chain
+    /// ends and the latch is counted down by `batch` (the chain's
+    /// `owed + 1`) in one step.
     CountDown {
         worker: u8,
         task: u8,
         tail: Option<u8>,
+        batch: u8,
     },
     /// The external thread observes the latch released and re-arms the
     /// reusable graph for its next run.
@@ -191,12 +205,20 @@ impl fmt::Display for Action {
                     write!(f, "w{worker}: decrement t{succ} (successor of t{task})")
                 }
             }
-            Action::CountDown { worker, task, tail } => match tail {
-                Some(t) => write!(
+            Action::Spawn { worker, task, succ } => {
+                write!(f, "w{worker}: push held t{succ} (successor of t{task})")
+            }
+            Action::CountDown {
+                worker,
+                task,
+                tail,
+                batch,
+            } => match tail {
+                Some(t) => write!(f, "w{worker}: done with t{task}, tail-exec t{t}"),
+                None => write!(
                     f,
-                    "w{worker}: latch.count_down after t{task}, tail-exec t{t}"
+                    "w{worker}: chain ends at t{task}, latch.count_down_by({batch}), go idle"
                 ),
-                None => write!(f, "w{worker}: latch.count_down after t{task}, go idle"),
             },
             Action::Reset => write!(f, "external: latch released — reset graph for next run"),
         }
@@ -334,14 +356,14 @@ impl Model {
         for w in 0..self.config.workers {
             match s.workers[w] {
                 WorkerPc::Idle => self.take_actions(s, w, &mut out),
-                WorkerPc::Claiming { task } => {
+                WorkerPc::Claiming { task, owed } => {
                     out.push((
                         Action::Claim {
                             worker: w as u8,
                             task,
                             deadline_trips: false,
                         },
-                        self.claim(s, w, task, false),
+                        self.claim(s, w, task, owed, false),
                     ));
                     if self.config.fault == Fault::DeadlineAnytime && !s.fault_fired && !s.cancelled
                     {
@@ -351,11 +373,11 @@ impl Model {
                                 task,
                                 deadline_trips: true,
                             },
-                            self.claim(s, w, task, true),
+                            self.claim(s, w, task, owed, true),
                         ));
                     }
                 }
-                WorkerPc::Working { task } => {
+                WorkerPc::Working { task, owed } => {
                     let panics =
                         self.config.fault == Fault::PanicAt(task) && s.run == 0 && !s.fault_fired;
                     out.push((
@@ -364,13 +386,15 @@ impl Model {
                             task,
                             panics,
                         },
-                        self.work(s, w, task, panics),
+                        self.work(s, w, task, owed, panics),
                     ));
                 }
                 WorkerPc::Finishing {
                     task,
                     next_succ,
                     first_ready,
+                    spilled,
+                    owed,
                 } => {
                     let nsucc = self.config.dag.successor_count(task as usize);
                     if (next_succ as usize) < nsucc {
@@ -384,22 +408,30 @@ impl Model {
                                 succ,
                                 now_ready,
                             },
-                            self.decrement(s, w, task, next_succ, first_ready, succ),
+                            self.decrement(s, w, succ),
                         ));
-                    } else {
-                        let tail = if first_ready == NO_TASK {
-                            None
-                        } else {
-                            Some(first_ready)
+                    } else if spilled && first_ready != NO_TASK {
+                        let mut n = s.clone();
+                        n.deques[w].push_back(first_ready);
+                        n.workers[w] = WorkerPc::Finishing {
+                            task,
+                            next_succ,
+                            first_ready: NO_TASK,
+                            spilled,
+                            owed,
                         };
                         out.push((
-                            Action::CountDown {
+                            Action::Spawn {
                                 worker: w as u8,
                                 task,
-                                tail,
+                                succ: first_ready,
                             },
-                            self.count_down(s, w, task, first_ready),
+                            Ok(n),
                         ));
+                    } else {
+                        let (action, next) =
+                            self.count_down(s, w, task, first_ready, spilled, owed);
+                        out.push((action, next));
                     }
                 }
             }
@@ -421,7 +453,7 @@ impl Model {
         if let Some(&t) = s.deques[w].last() {
             let mut n = s.clone();
             n.deques[w].pop_back();
-            n.workers[w] = WorkerPc::Claiming { task: t };
+            n.workers[w] = WorkerPc::Claiming { task: t, owed: 0 };
             out.push((
                 Action::Take {
                     worker: w as u8,
@@ -434,7 +466,7 @@ impl Model {
         if let Some(&t) = s.injector.first() {
             let mut n = s.clone();
             n.injector.take_front();
-            n.workers[w] = WorkerPc::Claiming { task: t };
+            n.workers[w] = WorkerPc::Claiming { task: t, owed: 0 };
             out.push((
                 Action::Take {
                     worker: w as u8,
@@ -451,7 +483,7 @@ impl Model {
             if let Some(&t) = s.deques[v].first() {
                 let mut n = s.clone();
                 n.deques[v].take_front();
-                n.workers[w] = WorkerPc::Claiming { task: t };
+                n.workers[w] = WorkerPc::Claiming { task: t, owed: 0 };
                 out.push((
                     Action::Take {
                         worker: w as u8,
@@ -464,7 +496,14 @@ impl Model {
         }
     }
 
-    fn claim(&self, s: &State, w: usize, t: u8, deadline_trips: bool) -> Result<State, Violation> {
+    fn claim(
+        &self,
+        s: &State,
+        w: usize,
+        t: u8,
+        owed: u8,
+        deadline_trips: bool,
+    ) -> Result<State, Violation> {
         if s.claimed & Self::bit(t) != 0 {
             return Err(Violation::DoubleClaim { task: t });
         }
@@ -486,11 +525,7 @@ impl Model {
         if n.cancelled {
             // Drain: full claim protocol, no work.
             n.drained |= Self::bit(t);
-            n.workers[w] = WorkerPc::Finishing {
-                task: t,
-                next_succ: 0,
-                first_ready: NO_TASK,
-            };
+            n.workers[w] = Self::finishing(t, owed);
         } else {
             // Entering the work window: this is where a second concurrent
             // writer of the same result slot would manifest.
@@ -498,7 +533,7 @@ impl Model {
                 if v == w {
                     continue;
                 }
-                if let WorkerPc::Working { task: u } = s.workers[v] {
+                if let WorkerPc::Working { task: u, .. } = s.workers[v] {
                     if self.slot(u) == self.slot(t) {
                         return Err(Violation::TornWrite {
                             slot: self.slot(t),
@@ -508,12 +543,23 @@ impl Model {
                     }
                 }
             }
-            n.workers[w] = WorkerPc::Working { task: t };
+            n.workers[w] = WorkerPc::Working { task: t, owed };
         }
         Ok(n)
     }
 
-    fn work(&self, s: &State, w: usize, t: u8, panics: bool) -> Result<State, Violation> {
+    /// The program counter entering `t`'s successor loop.
+    fn finishing(t: u8, owed: u8) -> WorkerPc {
+        WorkerPc::Finishing {
+            task: t,
+            next_succ: 0,
+            first_ready: NO_TASK,
+            spilled: false,
+            owed,
+        }
+    }
+
+    fn work(&self, s: &State, w: usize, t: u8, owed: u8, panics: bool) -> Result<State, Violation> {
         let mut n = s.clone();
         if panics {
             // The unwind is caught; the fault cell records it and cancels the
@@ -523,84 +569,104 @@ impl Model {
         } else {
             n.executed |= Self::bit(t);
         }
-        n.workers[w] = WorkerPc::Finishing {
-            task: t,
-            next_succ: 0,
-            first_ready: NO_TASK,
-        };
+        n.workers[w] = Self::finishing(t, owed);
         Ok(n)
     }
 
-    fn decrement(
-        &self,
-        s: &State,
-        w: usize,
-        t: u8,
-        next_succ: u8,
-        first_ready: u8,
-        succ: u8,
-    ) -> Result<State, Violation> {
+    /// One successor `fetch_sub` by worker `w`, which is in its successor
+    /// loop (`Finishing`).
+    fn decrement(&self, s: &State, w: usize, succ: u8) -> Result<State, Violation> {
+        let WorkerPc::Finishing {
+            task,
+            next_succ,
+            mut first_ready,
+            mut spilled,
+            owed,
+        } = s.workers[w]
+        else {
+            unreachable!("decrement outside the successor loop")
+        };
         if s.pending[succ as usize] == 0 {
             return Err(Violation::CounterUnderflow { task: succ });
         }
         let mut n = s.clone();
         n.pending[succ as usize] -= 1;
-        let mut first = first_ready;
         if n.pending[succ as usize] == 0 {
-            match self.config.mutation {
-                Mutation::DropSecondReady => {
-                    if first == NO_TASK {
-                        first = succ;
-                    }
-                    // else: the ready successor is silently lost.
-                }
-                Mutation::SpawnReadyTwice => {
-                    if first == NO_TASK {
-                        first = succ;
-                    }
-                    // Pushed regardless — the tail copy and the deque copy
-                    // will both be claimed.
+            if first_ready == NO_TASK {
+                first_ready = succ;
+                if self.config.mutation == Mutation::SpawnReadyTwice {
+                    // Pushed as well as held — the held copy and the deque
+                    // copy will both be claimed.
                     n.deques[w].push_back(succ);
                 }
-                _ => {
-                    if first == NO_TASK {
-                        first = succ;
-                    } else {
-                        n.deques[w].push_back(succ);
-                    }
+            } else {
+                spilled = true;
+                if self.config.mutation != Mutation::DropSecondReady {
+                    n.deques[w].push_back(succ);
                 }
+                // else: the ready successor is silently lost.
             }
         }
         n.workers[w] = WorkerPc::Finishing {
-            task: t,
+            task,
             next_succ: next_succ + 1,
-            first_ready: first,
+            first_ready,
+            spilled,
+            owed,
         };
         Ok(n)
     }
 
-    fn count_down(&self, s: &State, w: usize, t: u8, first_ready: u8) -> Result<State, Violation> {
+    /// The end of `t`'s successor loop: tail-execute the lone ready
+    /// successor (carrying the chain's latch debt along), or end the chain
+    /// with one batched latch count-down and go idle.
+    fn count_down(
+        &self,
+        s: &State,
+        w: usize,
+        t: u8,
+        first_ready: u8,
+        spilled: bool,
+        owed: u8,
+    ) -> (Action, Result<State, Violation>) {
         let mut n = s.clone();
-        let skip =
-            self.config.mutation == Mutation::SkipDrainCountDown && s.drained & Self::bit(t) != 0;
-        if !skip {
-            if n.latch == 0 {
-                return Err(Violation::LatchUnderflow);
-            }
-            n.latch -= 1;
-            if n.latch == 0 {
-                n.latch_zeroed += 1;
-            }
-        }
-        n.workers[w] = if first_ready == NO_TASK {
-            WorkerPc::Idle
-        } else {
+        let counted = !(self.config.mutation == Mutation::SkipDrainCountDown
+            && s.drained & Self::bit(t) != 0);
+        let owed = owed + counted as u8;
+        let action = |tail, batch| Action::CountDown {
+            worker: w as u8,
+            task: t,
+            tail,
+            batch,
+        };
+        if first_ready != NO_TASK {
             // Inline tail-execution: the lone ready successor runs in place
             // (drained claims tail-exec too — the drain must visit every
-            // task).
-            WorkerPc::Claiming { task: first_ready }
+            // task), and the latch is not touched yet.
+            debug_assert!(
+                !spilled,
+                "a spilled chain end pushes its held successor first"
+            );
+            n.workers[w] = WorkerPc::Claiming {
+                task: first_ready,
+                owed,
+            };
+            return (action(Some(first_ready), 0), Ok(n));
+        }
+        let batch = if spilled && self.config.mutation == Mutation::DropChainBatch {
+            1
+        } else {
+            owed
         };
-        Ok(n)
+        n.workers[w] = WorkerPc::Idle;
+        if n.latch < batch {
+            return (action(None, batch), Err(Violation::LatchUnderflow));
+        }
+        n.latch -= batch;
+        if batch > 0 && n.latch == 0 {
+            n.latch_zeroed += 1;
+        }
+        (action(None, batch), Ok(n))
     }
 
     fn quiescent(&self, s: &State) -> bool {

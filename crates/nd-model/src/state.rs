@@ -90,27 +90,38 @@ impl Deque {
 /// A worker's program counter inside `run_graph_task` — one variant per
 /// distinct shared-memory program point, so every interleaving of the real
 /// atomics is a distinct path through the model.
+///
+/// `owed` is the chain's batched latch debt: the number of tasks this call of
+/// `run_graph_task` claimed *before* the current one (the code's local
+/// `done`, minus the current task).  The latch is only written at the chain
+/// end, which subtracts `owed + 1` in one step.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum WorkerPc {
     /// In `find_work`: no task in hand.
     Idle,
-    /// Holds `task` freshly taken from a queue; the next step is the claim
-    /// (counter restore + cancellation/deadline gate).
-    Claiming { task: u8 },
+    /// Holds `task` freshly taken from a queue, or tail-executed inline; the
+    /// next step is the claim (counter restore + cancellation/deadline gate).
+    Claiming { task: u8, owed: u8 },
     /// Past the fault gate: the task's work is running.  Two workers
     /// simultaneously `Working` on the same result slot is the torn-write
     /// hazard the `PivotStore` invariant forbids.
-    Working { task: u8 },
+    Working { task: u8, owed: u8 },
     /// In `finish_successors`: `next_succ` counts decrements already done;
-    /// `first_ready` ([`NO_TASK`] if none yet) is the successor reserved for
-    /// inline tail-execution.  Once every successor is decremented
-    /// (`next_succ == successor count`) the worker sits *between* the last
-    /// `fetch_sub` and `latch.count_down()` — the countdown is its own atomic
-    /// step, taken by the `CountDown` action.
+    /// `first_ready` ([`NO_TASK`] if none yet, or once pushed) is the first
+    /// successor that became ready, held back for inline tail-execution;
+    /// `spilled` records that a second one became ready too (it and any later
+    /// ones were pushed at their decrement).  Once every successor is
+    /// decremented (`next_succ == successor count`) the worker either
+    /// tail-executes `first_ready` (exactly one ready: the `CountDown` action
+    /// with a tail), or — when `spilled` — first pushes `first_ready` (the
+    /// `Spawn` action) and then ends the chain with its batched
+    /// `latch.count_down_by(owed + 1)` (`CountDown` without a tail).
     Finishing {
         task: u8,
         next_succ: u8,
         first_ready: u8,
+        spilled: bool,
+        owed: u8,
     },
 }
 
@@ -180,16 +191,18 @@ impl PartialOrd for WorkerPc {
 
 impl Ord for WorkerPc {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        fn rank(pc: &WorkerPc) -> (u8, u8, u8, u8) {
+        fn rank(pc: &WorkerPc) -> (u8, u8, u8, u8, bool, u8) {
             match *pc {
-                WorkerPc::Idle => (0, 0, 0, 0),
-                WorkerPc::Claiming { task } => (1, task, 0, 0),
-                WorkerPc::Working { task } => (2, task, 0, 0),
+                WorkerPc::Idle => (0, 0, 0, 0, false, 0),
+                WorkerPc::Claiming { task, owed } => (1, task, 0, 0, false, owed),
+                WorkerPc::Working { task, owed } => (2, task, 0, 0, false, owed),
                 WorkerPc::Finishing {
                     task,
                     next_succ,
                     first_ready,
-                } => (3, task, next_succ, first_ready),
+                    spilled,
+                    owed,
+                } => (3, task, next_succ, first_ready, spilled, owed),
             }
         }
         rank(self).cmp(&rank(other))
@@ -301,9 +314,9 @@ mod tests {
             injector: Deque::default(),
             deques: [Deque::default(); MAX_WORKERS],
             workers: [
-                WorkerPc::Working { task: 2 },
+                WorkerPc::Working { task: 2, owed: 0 },
                 WorkerPc::Idle,
-                WorkerPc::Claiming { task: 1 },
+                WorkerPc::Claiming { task: 1, owed: 0 },
             ],
         };
         s.deques[0].push_back(4);
@@ -312,8 +325,8 @@ mod tests {
             canon.workers,
             [
                 WorkerPc::Idle,
-                WorkerPc::Claiming { task: 1 },
-                WorkerPc::Working { task: 2 }
+                WorkerPc::Claiming { task: 1, owed: 0 },
+                WorkerPc::Working { task: 2, owed: 0 }
             ]
         );
         // Deque 0 travelled with its worker (now at index 2).

@@ -23,7 +23,11 @@
 //!    index)` pair on the deque, its claim is the atomic decrement of its
 //!    dependency counter (counters guarantee exactly-once execution, so no
 //!    separate claim flag or `Mutex<Option<Box<…>>>` take is needed), and its
-//!    successors come straight from the CSR arena.
+//!    successors come straight from the CSR arena.  The run's shared lines
+//!    are written once per inline *chain*, not once per task: a worker counts
+//!    the tasks it claims (drained ones included) and the ones whose work
+//!    ran, and publishes both when its chain ends — one per-worker add, then
+//!    one completion-latch decrement by the chain's length.
 //! 3. **Reset.**  Each task restores its own live counter from the stored initial
 //!    count the moment it is claimed, so when `execute` returns the graph is
 //!    already reset and can be executed again without rebuilding.  An explicit
@@ -82,11 +86,16 @@
 //! common shape inside the paper's fine-grained ND DAGs — therefore execute with
 //! zero push/pop/steal-check overhead while preserving the depth-first
 //! intra-processor order.  When several successors become ready at once they are
-//! pushed onto the local deque as before, keeping them stealable for load balance.
+//! all pushed onto the local deque (the first one last, so it is popped next),
+//! keeping them stealable for load balance, and the chain ends there.  A whole
+//! chain costs one latch decrement and one per-worker counter add, made after
+//! its last push: the latch cannot reach zero while a task the chain readied
+//! is still unaccounted for.
 
 use crate::fault::{RunBudget, RunError, GENERIC_TASK_LABEL};
 use crate::latch::CountLatch;
 use crate::pool::{GraphTask, JobUnit, ThreadPool, WorkerCtx};
+use crate::CacheLine;
 use nd_trace::{EventKind, TraceEvent, EXEC_FLAG_INLINE, NO_TASK};
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
@@ -632,7 +641,7 @@ impl CompiledGraph {
         let run = Arc::new(ActiveRun {
             graph: Arc::clone(self),
             table: Arc::clone(table),
-            latch: CountLatch::new(n),
+            latch: CacheLine(CountLatch::new(n)),
             per_worker: (0..pool.num_threads()).map(|_| AtomicU64::new(0)).collect(),
             fault: FaultCell::new(),
         });
@@ -715,7 +724,7 @@ impl<T: TaskTable> PersistentRun<T> {
             run: Arc::new(ActiveRun {
                 graph: Arc::clone(graph),
                 table: Arc::clone(table),
-                latch: CountLatch::new(0),
+                latch: CacheLine(CountLatch::new(0)),
                 per_worker: (0..max_workers).map(|_| AtomicU64::new(0)).collect(),
                 fault: FaultCell::new(),
             }),
@@ -830,10 +839,15 @@ impl<T: TaskTable> PersistentRun<T> {
 }
 
 /// The per-execution state shared by every in-flight task of one run.
+///
+/// Every field but `latch` is read-mostly while the run is in flight; the
+/// latch is written once per inline chain by whichever worker ends it, so it
+/// sits on a cache line of its own and its writes do not evict the fields
+/// every claim reads.
 struct ActiveRun<T: TaskTable> {
     graph: Arc<CompiledGraph>,
     table: Arc<T>,
-    latch: CountLatch,
+    latch: CacheLine<CountLatch>,
     per_worker: Vec<AtomicU64>,
     fault: FaultCell,
 }
@@ -859,8 +873,9 @@ impl<T: TaskTable> ActiveRun<T> {
     }
 
     /// Runs task `id`'s work inside a catch scope (recording the usual
-    /// claim/exec trace events around it).  The chaos panic injection lives
-    /// inside the scope, so injected faults take exactly the real fault path.
+    /// claim/exec trace events around it).  `chaos_armed` (read once per
+    /// chain) routes the work through [`ActiveRun::exec_chaos`], whose scope
+    /// also holds the chaos panic injection.
     #[inline]
     fn exec_one(
         &self,
@@ -868,12 +883,16 @@ impl<T: TaskTable> ActiveRun<T> {
         ctx: &WorkerCtx<'_>,
         steal_wire: u16,
         exec_flags: u32,
+        chaos_armed: bool,
     ) -> std::thread::Result<()> {
+        // Disarmed, the catch scope holds exactly the strand, as in a build
+        // without the chaos feature; the armed scope is out of line.
         let work = || {
-            if ctx.chaos_should_panic(id) {
-                panic!("chaos: injected panic at strand {id}");
+            if chaos_armed {
+                self.exec_chaos(id, ctx)
+            } else {
+                catch_unwind(AssertUnwindSafe(|| self.table.run_task(id)))
             }
-            self.table.run_task(id);
         };
         if ctx.trace_enabled() {
             let tracer = ctx.tracer();
@@ -891,7 +910,7 @@ impl<T: TaskTable> ActiveRun<T> {
                     b: 0,
                 },
             );
-            let result = catch_unwind(AssertUnwindSafe(work));
+            let result = work();
             // The span is recorded even when the work panicked: the time up
             // to the unwind is real, and Perfetto shows the fault inline.
             tracer.record(
@@ -908,8 +927,22 @@ impl<T: TaskTable> ActiveRun<T> {
             );
             result
         } else {
-            catch_unwind(AssertUnwindSafe(work))
+            work()
         }
+    }
+
+    /// [`ActiveRun::exec_one`]'s catch scope while a chaos plan is armed:
+    /// the injected panic is raised inside it, so it takes exactly the real
+    /// fault path.
+    #[cold]
+    #[inline(never)]
+    fn exec_chaos(&self, id: u32, ctx: &WorkerCtx<'_>) -> std::thread::Result<()> {
+        catch_unwind(AssertUnwindSafe(|| {
+            if ctx.chaos_should_panic(id) {
+                panic!("chaos: injected panic at strand {id}");
+            }
+            self.table.run_task(id);
+        }))
     }
 
     /// Records `err` as the run's fault (first fault wins) and cancels the
@@ -945,11 +978,18 @@ impl<T: TaskTable> GraphTask for ActiveRun<T> {
         // every further iteration is inline tail-execution.
         let mut steal_wire = ctx.steal_distance_wire();
         let mut exec_flags = 0u32;
+        // The chain's shared-line writes are batched: `done` counts the tasks
+        // claimed in this call (drained ones included) and `ran` those whose
+        // work returned; both are published once, after the loop.
+        let mut done = 0usize;
+        let mut ran = 0u64;
+        let chaos_armed = ctx.chaos_armed();
         loop {
             // Restore the live counter the moment the task is claimed (the
             // self-resetting half of the protocol; see
             // [`CompiledGraph::claim_restore`]).
             g.claim_restore(id);
+            done += 1;
             // The claim boundary is also the fault boundary: a cancelled run
             // *drains* — every remaining task is still claimed exactly once
             // and performs full successor/latch bookkeeping below, just
@@ -967,10 +1007,8 @@ impl<T: TaskTable> GraphTask for ActiveRun<T> {
                 }
             }
             if live {
-                match self.exec_one(id, ctx, steal_wire, exec_flags) {
-                    Ok(()) => {
-                        self.per_worker[ctx.worker_index].fetch_add(1, Ordering::Relaxed);
-                    }
+                match self.exec_one(id, ctx, steal_wire, exec_flags, chaos_armed) {
+                    Ok(()) => ran += 1,
                     Err(payload) => {
                         // The unwind stopped here: the worker survives, the
                         // fault becomes typed data, the run drains.
@@ -998,7 +1036,6 @@ impl<T: TaskTable> GraphTask for ActiveRun<T> {
                     self.spawn(s, ctx);
                 }
             });
-            self.latch.count_down();
             match first_ready {
                 // Inline tail-execution: exactly one successor became ready
                 // and may run here — run it in place, skipping the deque.
@@ -1009,11 +1046,17 @@ impl<T: TaskTable> GraphTask for ActiveRun<T> {
                 }
                 Some(s) => {
                     self.spawn(s, ctx);
-                    return;
+                    break;
                 }
-                None => return,
+                None => break,
             }
         }
+        // Chain end.  Every task this chain readied is already on a queue,
+        // and none of the `done` claims is counted yet, so the latch cannot
+        // reach zero before this one decrement — and the per-worker count it
+        // publishes (written first) is visible to whoever the release wakes.
+        self.per_worker[ctx.worker_index].fetch_add(ran, Ordering::Relaxed);
+        self.latch.count_down_by(done);
     }
 }
 
@@ -1962,5 +2005,29 @@ mod tests {
         let p = pool();
         let stats = graph.execute(&p, &table).unwrap();
         assert_eq!(stats.tasks, 4);
+    }
+
+    /// The run's latch — its only field written while the run is in flight —
+    /// sits alone on its cache line, away from the fields every claim reads.
+    #[test]
+    fn active_run_latch_sits_alone_on_its_cache_line() {
+        struct Nop;
+        impl TaskTable for Nop {
+            fn run_task(&self, _task: u32) {}
+        }
+        type Run = ActiveRun<Nop>;
+        let latch = field_lines!(Run, latch);
+        assert_eq!(std::mem::offset_of!(Run, latch) % 64, 0);
+        for (name, lines) in [
+            ("graph", field_lines!(Run, graph)),
+            ("table", field_lines!(Run, table)),
+            ("per_worker", field_lines!(Run, per_worker)),
+            ("fault", field_lines!(Run, fault)),
+        ] {
+            assert!(
+                lines.end <= latch.start || latch.end <= lines.start,
+                "ActiveRun::{name} (lines {lines:?}) shares a line with the latch ({latch:?})"
+            );
+        }
     }
 }

@@ -5,9 +5,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A latch that starts at a given count and releases waiters when it reaches zero.
 ///
-/// Decrements use release ordering and the final decrement wakes all waiters, so a
-/// thread returning from [`CountLatch::wait`] observes all writes performed by the
-/// threads that called [`CountLatch::count_down`].
+/// Decrements are `AcqRel` read-modify-writes and the final decrement wakes all
+/// waiters, so a thread returning from [`CountLatch::wait`] observes all writes
+/// performed by the threads that counted the latch down.  A thread may count
+/// down several units in one step (`count_down_by`, crate-internal): the
+/// dataflow executor counts down once per inline chain, not once per task.
 #[derive(Debug)]
 pub struct CountLatch {
     remaining: AtomicUsize,
@@ -52,9 +54,25 @@ impl CountLatch {
     /// # Panics
     /// Panics (in debug builds) if the latch is decremented below zero.
     pub fn count_down(&self) {
-        let prev = self.remaining.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "CountLatch decremented below zero");
-        if prev == 1 {
+        self.count_down_by(1);
+    }
+
+    /// Decrements the count by `k` in one `AcqRel` read-modify-write; the
+    /// decrement that brings it to zero wakes all waiters.  `k == 0` is a
+    /// no-op.  The dataflow executor calls this once per inline chain with
+    /// the number of tasks the chain claimed, so a chain writes the latch's
+    /// cache line once instead of once per task.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) if the latch is decremented below zero.
+    #[inline]
+    pub(crate) fn count_down_by(&self, k: usize) {
+        if k == 0 {
+            return;
+        }
+        let prev = self.remaining.fetch_sub(k, Ordering::AcqRel);
+        debug_assert!(prev >= k, "CountLatch decremented below zero");
+        if prev == k {
             let _guard = self.mutex.lock();
             self.condvar.notify_all();
         }
@@ -111,6 +129,77 @@ mod tests {
         latch.wait();
         // All increments must be visible after wait().
         assert_eq!(counter.load(Ordering::SeqCst), 4);
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn batched_count_down_releases_exactly_when_the_batches_sum_to_the_count() {
+        let latch = CountLatch::new(10);
+        latch.count_down_by(3);
+        assert_eq!(latch.count(), 7);
+        latch.count_down_by(6);
+        assert!(!latch.is_released());
+        latch.count_down_by(1);
+        assert!(latch.is_released());
+        latch.wait(); // does not block
+                      // Re-armed, a single batch of the whole count releases it too.
+        latch.reset(4);
+        latch.count_down_by(4);
+        assert!(latch.is_released());
+    }
+
+    #[test]
+    fn count_down_by_zero_is_a_no_op() {
+        let latch = CountLatch::new(2);
+        latch.count_down_by(0);
+        assert_eq!(latch.count(), 2);
+        latch.count_down_by(2);
+        latch.count_down_by(0); // on a released latch: no underflow, no wake
+        assert_eq!(latch.count(), 0);
+        assert!(latch.is_released());
+    }
+
+    #[test]
+    fn uneven_batches_from_four_threads_publish_their_writes() {
+        // Thread i writes `i + 1` values, then counts all of them down in
+        // batches of up to i + 1; the waiter must see every write.
+        let per_thread: Vec<usize> = vec![1, 7, 30, 200];
+        let total: usize = per_thread.iter().sum();
+        let latch = Arc::new(CountLatch::new(total));
+        let slots: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..total).map(|_| AtomicUsize::new(0)).collect());
+        let mut handles = Vec::new();
+        let mut base = 0usize;
+        for (i, &len) in per_thread.iter().enumerate() {
+            let (l, s) = (Arc::clone(&latch), Arc::clone(&slots));
+            let batch = i + 1;
+            handles.push(thread::spawn(move || {
+                let mut done = 0usize;
+                while done < len {
+                    let k = batch.min(len - done);
+                    for slot in &s[base + done..base + done + k] {
+                        slot.store(i + 1, Ordering::Relaxed);
+                    }
+                    done += k;
+                    l.count_down_by(k);
+                }
+            }));
+            base += len;
+        }
+        latch.wait();
+        let mut base = 0usize;
+        for (i, &len) in per_thread.iter().enumerate() {
+            for slot in &slots[base..base + len] {
+                assert_eq!(
+                    slot.load(Ordering::Relaxed),
+                    i + 1,
+                    "thread {i}'s write lost"
+                );
+            }
+            base += len;
+        }
         for h in handles {
             h.join().unwrap();
         }

@@ -44,6 +44,19 @@
 #![warn(rust_2018_idioms)]
 #![deny(missing_docs)]
 
+/// Test-only: the range of 64-byte line indices that `$ty`'s field (path)
+/// `$field` occupies, for the layout tests that keep hot fields apart.
+#[cfg(test)]
+macro_rules! field_lines {
+    ($ty:ty, $($field:tt)+) => {{
+        fn size<S, F>(_: fn(&S) -> &F) -> usize {
+            std::mem::size_of::<F>()
+        }
+        let offset = std::mem::offset_of!($ty, $($field)+);
+        offset / 64..(offset + size(|s: &$ty| &s.$($field)+)).div_ceil(64)
+    }};
+}
+
 #[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod dataflow;
@@ -62,3 +75,19 @@ pub use dataflow::{
 pub use fault::{Priority, RunBudget, RunError};
 pub use lower::{lower_dag, lower_dag_boxed, LoweredDag};
 pub use pool::{PoolStats, PoolTopology, ThreadPool};
+
+/// Aligns and pads `T` to whole 64-byte cache lines, so a field that every
+/// worker writes shares no line with the fields they only read (and the
+/// reads do not miss each time another core writes).
+#[repr(align(64))]
+#[derive(Debug, Default)]
+pub(crate) struct CacheLine<T>(pub(crate) T);
+
+impl<T> std::ops::Deref for CacheLine<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}

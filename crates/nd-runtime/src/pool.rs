@@ -21,6 +21,7 @@
 //! callers are unaffected.  The hierarchy-aware executor in `nd-exec` builds the
 //! non-trivial topologies.
 
+use crate::CacheLine;
 use crossbeam::deque::{Injector, Stealer, Worker as Deque};
 use nd_trace::{EventKind, QueueKind, TraceEvent, Tracer, NO_TASK};
 use parking_lot::{Condvar, Mutex};
@@ -244,6 +245,22 @@ impl WorkerCtx<'_> {
         &self.shared.tracer
     }
 
+    /// `true` while a chaos fault plan is armed: one relaxed load, constant
+    /// `false` without the `chaos` feature.  The dataflow executor reads it
+    /// once per inline chain and consults
+    /// [`WorkerCtx::chaos_should_panic`] per task only when it is set.
+    #[inline]
+    pub(crate) fn chaos_armed(&self) -> bool {
+        #[cfg(feature = "chaos")]
+        {
+            self.shared.chaos_on.load(Ordering::Relaxed)
+        }
+        #[cfg(not(feature = "chaos"))]
+        {
+            false
+        }
+    }
+
     /// Chaos injection site for the dataflow executor: `true` exactly when
     /// the armed plan names `task` for a one-shot strand panic (constant
     /// `false` without the `chaos` feature).
@@ -324,8 +341,22 @@ impl WorkerCtx<'_> {
     }
 }
 
+/// The pool's per-job counters, written by every worker (one `fetch_add`
+/// per job or steal).
+#[derive(Default)]
+struct JobCounters {
+    /// Total jobs executed (for statistics / tests).
+    executed: AtomicU64,
+    /// Total successful steals from another worker's deque.
+    steals: AtomicU64,
+}
+
+/// The state every worker shares.  The fields written on every job — the
+/// global injector (a push and a pop per external job) and the job counters —
+/// each sit on cache lines of their own, so their writes do not evict the
+/// read-mostly `tracer`/`topology`/`stealers` fields or the sleep state.
 struct Shared {
-    injector: Injector<JobUnit>,
+    injector: CacheLine<Injector<JobUnit>>,
     /// One FIFO injector per queue group (see [`PoolTopology`]).
     group_injectors: Vec<Injector<JobUnit>>,
     stealers: Vec<Stealer<JobUnit>>,
@@ -333,10 +364,7 @@ struct Shared {
     shutdown: AtomicBool,
     sleep_mutex: Mutex<()>,
     sleep_condvar: Condvar,
-    /// Total jobs executed (for statistics / tests).
-    executed: AtomicU64,
-    /// Total successful steals from another worker's deque.
-    steals: AtomicU64,
+    counters: CacheLine<JobCounters>,
     /// Successful deque steals bucketed by the topology's distance class.
     steals_by_distance: Vec<AtomicU64>,
     /// Jobs whose panic was caught at an execution site (boxed jobs in the
@@ -492,7 +520,7 @@ impl ThreadPool {
         let stealers: Vec<Stealer<JobUnit>> = deques.iter().map(|d| d.stealer()).collect();
         let max_distance = topology.max_distance();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
+            injector: CacheLine(Injector::new()),
             group_injectors: (0..topology.num_groups).map(|_| Injector::new()).collect(),
             stealers,
             steals_by_distance: (0..=max_distance).map(|_| AtomicU64::new(0)).collect(),
@@ -500,8 +528,7 @@ impl ThreadPool {
             shutdown: AtomicBool::new(false),
             sleep_mutex: Mutex::new(()),
             sleep_condvar: Condvar::new(),
-            executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
+            counters: CacheLine::default(),
             panicked: AtomicU64::new(0),
             tracer: Arc::new(Tracer::new(num_threads)),
             #[cfg(feature = "chaos")]
@@ -584,12 +611,12 @@ impl ThreadPool {
 
     /// Total jobs executed by the pool so far.
     pub fn jobs_executed(&self) -> u64 {
-        self.shared.executed.load(Ordering::Relaxed)
+        self.shared.counters.executed.load(Ordering::Relaxed)
     }
 
     /// Total successful steals from other workers' deques so far.
     pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
+        self.shared.counters.steals.load(Ordering::Relaxed)
     }
 
     /// Successful deque steals bucketed by the topology's distance class
@@ -633,7 +660,9 @@ impl ThreadPool {
 
     /// Arms a chaos [`FaultPlan`](crate::chaos::FaultPlan): subsequent
     /// executions inject its faults (each at most once).  Replaces any
-    /// previously armed plan, counters and all.
+    /// previously armed plan, counters and all.  The dataflow executor reads
+    /// the armed flag once per inline chain, so a chain already running when
+    /// the plan is armed injects no strand panic.
     #[cfg(feature = "chaos")]
     pub fn install_fault_plan(&self, plan: crate::chaos::FaultPlan) {
         *self.shared.chaos.lock() = Some(Arc::new(crate::chaos::ChaosState::new(
@@ -765,7 +794,7 @@ fn worker_loop(index: usize, local: Deque<JobUnit>, shared: Arc<Shared>) {
             Some((unit, stolen_from)) => {
                 let mut steal = None;
                 if let Some(victim) = stolen_from {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
+                    shared.counters.steals.fetch_add(1, Ordering::Relaxed);
                     let d = shared.topology.steal_distance[index][victim];
                     shared.steals_by_distance[d].fetch_add(1, Ordering::Relaxed);
                     steal = Some((victim, d));
@@ -793,7 +822,7 @@ fn worker_loop(index: usize, local: Deque<JobUnit>, shared: Arc<Shared>) {
                 shared.chaos_on_unit(index);
                 // Count the job before running it so that anyone released by a latch
                 // the job signals observes an up-to-date counter.
-                shared.executed.fetch_add(1, Ordering::Relaxed);
+                shared.counters.executed.fetch_add(1, Ordering::Relaxed);
                 // Panic isolation: a panicking unit must not unwind through
                 // the worker loop (it would silently shrink the pool for the
                 // rest of the process).  Catch it, count it, keep going.
@@ -1111,5 +1140,51 @@ mod tests {
         let after = pool.stats().since(&before);
         assert_eq!(after.jobs_panicked, n as u64);
         assert!(after.jobs_executed >= 2 * n as u64);
+    }
+
+    /// The fields written on every job keep off the lines the other fields
+    /// live on: the injector starts a line and shares none, and the job
+    /// counters do not share one with the tracer pointer every trace check
+    /// reads.
+    #[test]
+    fn hot_shared_fields_sit_on_their_own_cache_lines() {
+        let disjoint = |a: &std::ops::Range<usize>, b: &std::ops::Range<usize>| {
+            a.end <= b.start || b.end <= a.start
+        };
+        assert_eq!(std::mem::offset_of!(Shared, injector) % 64, 0);
+        let injector = field_lines!(Shared, injector);
+        #[allow(unused_mut)]
+        let mut others = vec![
+            ("group_injectors", field_lines!(Shared, group_injectors)),
+            ("stealers", field_lines!(Shared, stealers)),
+            ("topology", field_lines!(Shared, topology)),
+            ("shutdown", field_lines!(Shared, shutdown)),
+            ("sleep_mutex", field_lines!(Shared, sleep_mutex)),
+            ("sleep_condvar", field_lines!(Shared, sleep_condvar)),
+            ("counters", field_lines!(Shared, counters)),
+            (
+                "steals_by_distance",
+                field_lines!(Shared, steals_by_distance),
+            ),
+            ("panicked", field_lines!(Shared, panicked)),
+            ("tracer", field_lines!(Shared, tracer)),
+        ];
+        #[cfg(feature = "chaos")]
+        others.extend([
+            ("chaos_on", field_lines!(Shared, chaos_on)),
+            ("chaos", field_lines!(Shared, chaos)),
+        ]);
+        for (name, lines) in &others {
+            assert!(
+                disjoint(lines, &injector),
+                "Shared::{name} (lines {lines:?}) shares a line with the injector ({injector:?})"
+            );
+        }
+        let tracer = field_lines!(Shared, tracer);
+        let counters = field_lines!(Shared, counters);
+        assert!(
+            disjoint(&tracer, &counters),
+            "Shared::tracer (lines {tracer:?}) shares a line with the job counters ({counters:?})"
+        );
     }
 }

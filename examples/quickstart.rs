@@ -111,6 +111,7 @@ fn main() {
         );
     }
     println!(
-        "\nThe ND span is Θ(n) versus Θ(n log n) for NP — see EXPERIMENTS.md for the full sweeps."
+        "\nThe ND span is Θ(n) versus Θ(n log n) for NP — `cargo run --release -p nd-bench --bin exp_spans` \
+         runs the full sweeps (E1–E7; see PAPER.md's section map)."
     );
 }

@@ -177,6 +177,101 @@ fn long_chain_runs_in_order_through_tail_execution() {
     assert_eq!(table.violations.load(Ordering::SeqCst), 0);
 }
 
+/// One long serial chain plus a 64-way fan-in: tasks `0..CHAIN` form the
+/// chain, 63 independent leaves follow, and the last task joins the chain's
+/// tail and every leaf.  The chain runs as one inline chain, so its whole
+/// latch count-down is one batch; the leaves and the sink are short chains
+/// ending concurrently with it.
+const CHAIN: usize = 20_000;
+
+fn chain_and_fan_in_preds() -> Vec<Vec<usize>> {
+    let leaves = 63usize;
+    let sink = CHAIN + leaves;
+    let mut preds: Vec<Vec<usize>> = (0..CHAIN)
+        .map(|j| if j == 0 { vec![] } else { vec![j - 1] })
+        .collect();
+    preds.extend((0..leaves).map(|_| vec![]));
+    preds.push(std::iter::once(CHAIN - 1).chain(CHAIN..sink).collect());
+    preds
+}
+
+/// The batched latch count-down accounts for every task: 50 runs of the
+/// chain-plus-fan-in graph, each exactly-once and ordered, with per-worker
+/// task counts summing to the task count and the counters restored.
+#[test]
+fn batched_chain_count_down_accounts_for_every_task() {
+    let preds = chain_and_fan_in_preds();
+    let n = preds.len();
+    let table = Arc::new(Probe::new(preds.clone()));
+    let graph = Arc::new(CompiledGraph::from_edges(n, &edges_of(&preds), Vec::new()));
+    let mut round = 0u32;
+    for workers in pool_sizes() {
+        let pool = ThreadPool::new(workers);
+        for _ in 0..50 {
+            round += 1;
+            table.reset_round();
+            let stats = graph.execute(&pool, &table).expect("run");
+            assert_eq!(stats.tasks, n);
+            assert_eq!(
+                stats.tasks_per_worker.iter().sum::<u64>(),
+                n as u64,
+                "workers={workers} round={round}: per-worker counts must sum to the task count"
+            );
+            assert!(
+                graph.counters_are_reset(),
+                "workers={workers} round={round}"
+            );
+        }
+        table.assert_round(round, &format!("chain + fan-in, workers={workers}"));
+    }
+}
+
+/// A panic at the chain's midpoint drains the rest of the batched chain:
+/// the run returns `Err(Panicked)` instead of hanging, and after `reset()`
+/// the graph re-runs `Ok` to the output of a never-faulted run.
+#[test]
+fn panic_mid_chain_drains_the_batch_and_recovers() {
+    let preds = chain_and_fan_in_preds();
+    let n = preds.len();
+    let boom = CHAIN / 2;
+    let edges = edges_of(&preds);
+    let reference = {
+        let table = Arc::new(BombTable::new(preds.clone(), boom));
+        table.armed.store(false, Ordering::SeqCst);
+        let graph = Arc::new(CompiledGraph::from_edges(n, &edges, Vec::new()));
+        graph
+            .execute(&ThreadPool::new(1), &table)
+            .expect("oracle run");
+        table.snapshot()
+    };
+    for workers in pool_sizes() {
+        let pool = ThreadPool::new(workers);
+        let graph = Arc::new(CompiledGraph::from_edges(n, &edges, Vec::new()));
+        for round in 0..10 {
+            let table = Arc::new(BombTable::new(preds.clone(), boom));
+            match graph.execute(&pool, &table) {
+                Err(RunError::Panicked { task, .. }) => assert_eq!(task, boom as u32),
+                other => {
+                    panic!("workers={workers} round={round}: expected Panicked, got {other:?}")
+                }
+            }
+            // Nothing after the bomb on the chain ran: the tail drained.
+            assert_eq!(table.out[boom + 1].load(Ordering::SeqCst), 0);
+            graph.reset();
+            assert!(graph.counters_are_reset());
+            table.armed.store(false, Ordering::SeqCst);
+            let stats = graph.execute(&pool, &table).expect("recovery run");
+            assert_eq!(stats.tasks_per_worker.iter().sum::<u64>(), n as u64);
+            assert!(graph.counters_are_reset());
+            assert_eq!(
+                table.snapshot(),
+                reference,
+                "workers={workers} round={round}"
+            );
+        }
+    }
+}
+
 /// A deterministic dataflow computation with an armable bomb: task `j` writes
 /// `out[j] = 1 + Σ out[preds(j)]` (wrapping; a pure function of the DAG,
 /// independent of the schedule), and panics instead when it is the bomb task

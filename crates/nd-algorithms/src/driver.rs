@@ -17,7 +17,7 @@ use nd_linalg::getrf::PivotStore;
 use nd_linalg::tile::TileMatrix;
 use nd_linalg::Matrix;
 use nd_runtime::dataflow::{ExecStats, Placement};
-use nd_runtime::fault::{RunBudget, RunError};
+use nd_runtime::fault::RunError;
 use nd_runtime::ThreadPool;
 use nd_trace::{TaskMeta, Trace, TraceConfig, TraceSession};
 use std::sync::Arc;
@@ -52,21 +52,6 @@ pub fn run_once(
     ctx: &ExecContext,
 ) -> Result<ExecStats, RunError> {
     compile(built, ctx).execute(pool)
-}
-
-/// Like [`run_once`], with a per-run [`RunBudget`] (wall-clock deadline
-/// checked at every strand claim).
-///
-/// # Errors
-/// Returns [`RunError::DeadlineExceeded`] if the budget expires mid-run, or
-/// [`RunError::Panicked`] if a strand panics.
-pub fn run_once_with(
-    pool: &ThreadPool,
-    built: &BuiltAlgorithm,
-    ctx: &ExecContext,
-    budget: &RunBudget,
-) -> Result<ExecStats, RunError> {
-    compile(built, ctx).execute_with(pool, budget)
 }
 
 /// The full per-task trace side tables for a built + compiled algorithm:

@@ -1,24 +1,18 @@
 //! Executing algorithm DAGs on the real runtime.
 //!
-//! The strands of a [`BuiltAlgorithm`] carry indices
-//! into a table of [`BlockOp`]s; this module lowers the algorithm DAG plus that
-//! table into the dataflow executor of `nd-runtime` — in two forms:
-//!
-//! * **Compiled (non-boxed), the default.**  [`compile_algorithm`] resolves every
-//!   block operation's `Rect`s into raw [`MatPtr`] views once, stores them in a
-//!   [`CompiledOp`] table, and builds a reusable
-//!   [`CompiledGraph`] whose CSR successor arena and
-//!   atomic dependency counters are shared across executions.  Strands dispatch
-//!   by index through the enum — no heap-boxed closure per strand, no per-task
-//!   mutex — and the same [`CompiledAlgorithm`] can be executed any number of
-//!   times (build → execute → execute → …), paying DRS + graph construction
-//!   exactly once.  [`run`] and the `*_parallel` drivers use this path.
-//! * **Boxed (builder) form.**  [`build_task_graph`] produces the classic
-//!   closure-carrying [`TaskGraph`] for callers that want to mix algorithm
-//!   strands with ad-hoc closures.  No algorithm in this crate needs it any
-//!   more — all seven (including LU, whose runtime pivot vector now lives in
-//!   a lock-free [`PivotStore`] instead of per-panel mutex slots) dispatch
-//!   through the compiled path.
+//! The strands of a [`BuiltAlgorithm`](crate::common::BuiltAlgorithm) carry
+//! indices into a table of [`BlockOp`]s; this module lowers the algorithm DAG
+//! plus that table into the dataflow executor of `nd-runtime`.  [`compile_algorithm`] resolves every
+//! block operation's `Rect`s into raw [`MatPtr`] views once, stores them in a
+//! [`CompiledOp`] table, and builds a reusable [`CompiledGraph`] whose CSR
+//! successor arena and atomic dependency counters are shared across
+//! executions.  Strands dispatch by index through the enum — no heap-boxed
+//! closure per strand, no per-task mutex — and the same [`CompiledAlgorithm`]
+//! can be executed any number of times (build → execute → execute → …),
+//! paying DRS + graph construction exactly once.  All seven algorithms run
+//! this way, LU included: its runtime pivot vector lives in a lock-free
+//! [`PivotStore`] ordered by the DAG.  The one-shot and anchored drivers of
+//! [`crate::driver`] and `nd-exec` go through the same path.
 //!
 //! # Safety
 //!
@@ -30,14 +24,14 @@
 //! correctness tests in every algorithm module validate the invariant end-to-end by
 //! comparing parallel results against the sequential reference kernels.
 
-use crate::common::{BlockOp, BuiltAlgorithm, Rect};
+use crate::common::{BlockOp, Rect};
 use nd_core::dag::AlgorithmDag;
 use nd_linalg::getrf::{self, PivotStore};
 use nd_linalg::matrix::{MatPtr, Matrix};
 use nd_linalg::tile::{TileMatrix, TileSubView, TileView};
 use nd_linalg::{fw, gemm, lcs, potrf, trsm};
 use nd_runtime::dataflow::{
-    CompiledGraph, ExecStats, PersistentRun, Placement, SteadyStats, TaskGraph, TaskTable,
+    CompiledGraph, ExecStats, PersistentRun, Placement, SteadyStats, TaskTable,
 };
 use nd_runtime::fault::{RunBudget, RunError};
 use nd_runtime::pool::{with_pack_scratch, ThreadPool};
@@ -46,9 +40,9 @@ use std::sync::{Arc, OnceLock};
 /// How an execution context's matrices are stored in memory.
 ///
 /// The layout is a property of the *bound data*, not of the algorithm: the
-/// same [`BuiltAlgorithm`] compiles against either layout and produces
-/// bit-identical results (packing moves bytes, never changes a floating-point
-/// operation).  `Tiled` is the cache-friendly choice the paper's locality
+/// same [`BuiltAlgorithm`](crate::common::BuiltAlgorithm) compiles against
+/// either layout and produces bit-identical results (packing moves bytes,
+/// never changes a floating-point operation).  `Tiled` is the cache-friendly choice the paper's locality
 /// bounds assume: every base-case operand is one contiguous slab.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Layout {
@@ -196,7 +190,7 @@ impl ExecContext {
     }
 }
 
-/// A block operation with its `Rect`s resolved into raw views — the non-boxed
+/// A block operation with its `Rect`s resolved into raw views — the
 /// per-strand work unit dispatched by [`OpTable`].
 ///
 /// `Copy`, pointer-sized fields only: a whole algorithm's strands live in one
@@ -400,7 +394,7 @@ impl CompiledOp {
     }
 }
 
-/// The non-boxed task table of one compiled algorithm: one [`CompiledOp`] per
+/// The task table of one compiled algorithm: one [`CompiledOp`] per
 /// graph task, dispatched by index through the enum.
 pub struct OpTable {
     ops: Vec<CompiledOp>,
@@ -635,7 +629,7 @@ fn compile_op(op: &BlockOp, ctx: &ExecContext) -> CompiledOp {
     }
 }
 
-/// An algorithm lowered to the reusable, non-boxed execution form: a compiled
+/// An algorithm lowered to the reusable execution form: a compiled
 /// graph (CSR arena + dependency counters) plus its operation table.
 ///
 /// Build once with [`compile_algorithm`], then call
@@ -774,8 +768,8 @@ impl CompiledAlgorithm {
     }
 }
 
-/// Lowers an algorithm DAG plus its operation table into the reusable,
-/// non-boxed execution form.
+/// Lowers an algorithm DAG plus its operation table into the reusable
+/// execution form.
 pub fn compile_algorithm(
     dag: &AlgorithmDag,
     ops: &[BlockOp],
@@ -845,47 +839,14 @@ fn op_pack_len(op: &CompiledOp) -> usize {
     }
 }
 
-/// Builds the runtime closure for one block operation (the boxed form; the
-/// compiled path goes through [`compile_algorithm`] instead).
-pub fn op_closure(op: &BlockOp, ctx: &ExecContext) -> Box<dyn FnMut() + Send + 'static> {
-    let compiled = compile_op(op, ctx);
-    let pack_len = op_pack_len(&compiled);
-    let (seq_s, seq_t) = (Arc::clone(&ctx.seq_s), Arc::clone(&ctx.seq_t));
-    let pivots = Arc::clone(&ctx.pivots);
-    Box::new(move || dispatch_op(compiled, &seq_s, &seq_t, &pivots, pack_len))
-}
-
-/// Lowers an algorithm DAG plus its operation table into a runnable [`TaskGraph`]
-/// (the boxed builder form).
-pub fn build_task_graph(dag: &AlgorithmDag, ops: &[BlockOp], ctx: &ExecContext) -> TaskGraph {
-    nd_runtime::lower::lower_dag_boxed(dag, |op| op_closure(&ops[op as usize], ctx))
-}
-
-/// Executes a built algorithm on a pool against the given runtime data
-/// (compiles the non-boxed form and runs it once; to amortise construction,
-/// keep the [`CompiledAlgorithm`] from [`compile_algorithm`] and re-execute it).
-/// Thin alias for [`crate::driver::run_once`], the shared driver layer.
-///
-/// # Errors
-/// Returns [`RunError::Panicked`] if a strand panics (see
-/// [`CompiledAlgorithm::execute`]).
-pub fn run(
-    pool: &ThreadPool,
-    built: &BuiltAlgorithm,
-    ctx: &ExecContext,
-) -> Result<ExecStats, RunError> {
-    crate::driver::run_once(pool, built, ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nd_core::dag::AlgorithmDag;
     use nd_core::spawn_tree::NodeId;
-    use nd_runtime::dataflow::execute_graph;
 
     #[test]
-    fn build_graph_preserves_shape() {
+    fn compiled_graph_preserves_shape() {
         let mut dag = AlgorithmDag::new();
         let a = dag.add_strand(NodeId(0), 1, 1, Some(0), "a".into());
         let bar = dag.add_barrier();
@@ -895,13 +856,10 @@ mod tests {
         let ops = vec![BlockOp::Nop, BlockOp::Nop];
         let mut m = Matrix::zeros(2, 2);
         let ctx = ExecContext::from_matrices(&mut [&mut m]);
-        let graph = build_task_graph(&dag, &ops, &ctx);
-        assert_eq!(graph.task_count(), 3);
-        assert_eq!(graph.edge_count(), 2);
-        assert!(graph.is_acyclic());
         let compiled = compile_algorithm(&dag, &ops, &ctx);
         assert_eq!(compiled.task_count(), 3);
         assert_eq!(compiled.edge_count(), 2);
+        assert!(compiled.graph().is_acyclic());
     }
 
     #[test]
@@ -923,50 +881,7 @@ mod tests {
             b: Rect::new(2, 0, 0, 8, 8),
             alpha: 1.0,
         }];
-        let graph = build_task_graph(&dag, &ops, &ctx);
-        execute_graph(&pool, graph).unwrap();
+        compile_algorithm(&dag, &ops, &ctx).execute(&pool).unwrap();
         assert!(c.max_abs_diff(&expected) < 1e-12);
-    }
-
-    #[test]
-    fn compiled_and_boxed_modes_agree_bitwise() {
-        let pool = ThreadPool::new(4);
-        let a = Matrix::random(16, 16, 3);
-        let b = Matrix::random(16, 16, 4);
-
-        let mut dag = AlgorithmDag::new();
-        let g0 = dag.add_strand(NodeId(0), 1, 1, Some(0), String::new());
-        let g1 = dag.add_strand(NodeId(1), 1, 1, Some(1), String::new());
-        dag.add_edge(g0, g1); // two dependent quadrant updates
-        let ops = vec![
-            BlockOp::Gemm {
-                c: Rect::new(0, 0, 0, 8, 8),
-                a: Rect::new(1, 0, 0, 8, 8),
-                b: Rect::new(2, 0, 0, 8, 8),
-                alpha: 1.0,
-            },
-            BlockOp::Gemm {
-                c: Rect::new(0, 0, 0, 8, 8),
-                a: Rect::new(1, 0, 8, 8, 8),
-                b: Rect::new(2, 8, 0, 8, 8),
-                alpha: 1.0,
-            },
-        ];
-
-        let mut c_boxed = Matrix::zeros(16, 16);
-        {
-            let mut am = a.clone();
-            let mut bm = b.clone();
-            let ctx = ExecContext::from_matrices(&mut [&mut c_boxed, &mut am, &mut bm]);
-            execute_graph(&pool, build_task_graph(&dag, &ops, &ctx)).unwrap();
-        }
-        let mut c_compiled = Matrix::zeros(16, 16);
-        {
-            let mut am = a.clone();
-            let mut bm = b.clone();
-            let ctx = ExecContext::from_matrices(&mut [&mut c_compiled, &mut am, &mut bm]);
-            compile_algorithm(&dag, &ops, &ctx).execute(&pool).unwrap();
-        }
-        assert_eq!(c_boxed.max_abs_diff(&c_compiled), 0.0);
     }
 }

@@ -29,8 +29,8 @@
 //!   up (every cell of the first row below an `A` block reads that block's corner).
 
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode};
-use crate::exec::{run, ExecContext};
 use crate::frontend::{build_program, FireProgram, OpRecorder};
+use crate::{driver::run_once, exec::ExecContext};
 use nd_core::fire::{FireRuleSpec, FireTable};
 use nd_core::program::{Composition, Expansion, NdProgram};
 use nd_linalg::Matrix;
@@ -286,7 +286,7 @@ pub fn fw1d_parallel(pool: &ThreadPool, initial: &[f64], mode: Mode, base: usize
         table[(0, i)] = initial[i];
     }
     let ctx = ExecContext::from_matrices(&mut [&mut table]);
-    run(pool, &built, &ctx).expect("algorithm strand panicked");
+    run_once(pool, &built, &ctx).expect("algorithm strand panicked");
     table
 }
 

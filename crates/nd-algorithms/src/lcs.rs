@@ -21,8 +21,8 @@
 //! ```
 
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode};
-use crate::exec::{run, ExecContext};
 use crate::frontend::{build_program, FireProgram, OpRecorder};
+use crate::{driver::run_once, exec::ExecContext};
 use nd_core::fire::{FireRuleSpec, FireTable};
 use nd_core::program::{Composition, Expansion, NdProgram};
 use nd_linalg::Matrix;
@@ -212,7 +212,7 @@ pub fn lcs_parallel(
     let built = build_lcs(n, base, mode);
     let mut table = Matrix::zeros(n + 1, n + 1);
     let ctx = ExecContext::with_sequences(&mut [&mut table], s.to_vec(), t.to_vec());
-    let stats = run(pool, &built, &ctx).expect("algorithm strand panicked");
+    let stats = run_once(pool, &built, &ctx).expect("algorithm strand panicked");
     (table[(n, n)] as u64, stats)
 }
 

@@ -31,8 +31,8 @@
 //! the property the space-bounded scheduler exploits (Section 4).
 
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode, Rect};
-use crate::exec::{run, ExecContext};
 use crate::frontend::{build_program, FireProgram, OpRecorder};
+use crate::{driver::run_once, exec::ExecContext};
 use nd_core::fire::{FireRuleSpec, FireTable};
 use nd_core::program::{Composition, Expansion, NdProgram};
 use nd_linalg::Matrix;
@@ -225,7 +225,7 @@ pub fn multiply_parallel(
     let mut a = a.clone();
     let mut b = b.clone();
     let ctx = ExecContext::from_matrices(&mut [c, &mut a, &mut b]);
-    run(pool, &built, &ctx).expect("algorithm strand panicked");
+    run_once(pool, &built, &ctx).expect("algorithm strand panicked");
 }
 
 #[cfg(test)]
@@ -338,7 +338,7 @@ mod tests {
         let mut am = a.clone();
         let mut bm = b.clone();
         let ctx = ExecContext::from_matrices(&mut [&mut c, &mut am, &mut bm]);
-        run(&pool, &built, &ctx).expect("algorithm strand panicked");
+        run_once(&pool, &built, &ctx).expect("algorithm strand panicked");
         assert!(c.max_abs_diff(&expected) < 1e-9);
     }
 }

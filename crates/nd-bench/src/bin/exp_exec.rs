@@ -25,8 +25,8 @@
 //! timing, and one JSON object per (algorithm, executor) measurement is
 //! emitted on stdout.
 //!
-//! The scheduler microbenchmarks run all-empty-task graphs through the
-//! non-boxed [`TaskTable`] mode, so what they time is the executor itself —
+//! The scheduler microbenchmarks run all-empty-task graphs through a
+//! [`TaskTable`], so what they time is the executor itself —
 //! counter claims, CSR successor walks, deque traffic, tail-execution — not
 //! the kernels; and they compare rebuilding a compiled MM graph every
 //! repetition against reusing one graph across repetitions.

@@ -1,8 +1,8 @@
 //! Running built algorithms on the hierarchy-aware pool.
 //!
 //! [`run_anchored`] is the anchored counterpart of
-//! [`nd_algorithms::exec::run`]: it lowers a [`BuiltAlgorithm`] to the same
-//! compiled, non-boxed graph form
+//! [`nd_algorithms::driver::run_once`]: it lowers a [`BuiltAlgorithm`] to the
+//! same compiled graph form
 //! ([`CompiledAlgorithm`](nd_algorithms::exec::CompiledAlgorithm)), computes
 //! its [`Anchoring`] on the pool's machine tree, and executes it with every
 //! strand routed to its anchor subcluster.  Placed execution therefore shares
@@ -42,7 +42,7 @@ use nd_linalg::getrf::PivotStore;
 use nd_linalg::Matrix;
 use nd_pmh::machine::CacheId;
 use nd_runtime::dataflow::{ExecStats, Placement};
-use nd_runtime::fault::{RunBudget, RunError};
+use nd_runtime::fault::RunError;
 use nd_trace::{Trace, TraceConfig, TraceSession};
 use std::sync::Arc;
 
@@ -80,26 +80,10 @@ pub fn run_anchored(
     ctx: &ExecContext,
     cfg: &AnchorConfig,
 ) -> Result<HierExecStats, RunError> {
-    run_anchored_with(pool, built, ctx, cfg, &RunBudget::UNBOUNDED)
-}
-
-/// Like [`run_anchored`], with a per-run [`RunBudget`] (wall-clock deadline
-/// checked at every strand claim).
-///
-/// # Errors
-/// Returns [`RunError::DeadlineExceeded`] if the budget expires mid-run, or
-/// [`RunError::Panicked`] if a strand panics.
-pub fn run_anchored_with(
-    pool: &HierarchicalPool,
-    built: &BuiltAlgorithm,
-    ctx: &ExecContext,
-    cfg: &AnchorConfig,
-    budget: &RunBudget,
-) -> Result<HierExecStats, RunError> {
     let anchoring: Anchoring = compute_anchoring(&built.tree, &built.dag, pool.machine(), cfg);
     let compiled = driver::compile_placed(built, ctx, anchoring.placement);
     let before = pool.steals_by_distance();
-    let exec = compiled.execute_with(pool.pool(), budget)?;
+    let exec = compiled.execute(pool.pool())?;
     let after = pool.steals_by_distance();
     Ok(HierExecStats {
         exec,
@@ -187,37 +171,6 @@ pub fn run_anchored_on_layout(
         tile_mat.unpack_into(m);
     }
     (stats, Arc::clone(&ctx.pivots))
-}
-
-/// Computes `C += A·B` on the anchored executor with the given data layout
-/// (tile dimension = `base`, so every base-case operand is one contiguous
-/// slab when `layout` is [`Layout::Tiled`]).
-pub fn multiply_anchored_on(
-    pool: &HierarchicalPool,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    base: usize,
-    layout: Layout,
-    cfg: &AnchorConfig,
-) -> HierExecStats {
-    let n = c.rows();
-    assert_eq!(a.rows(), n);
-    assert_eq!(b.cols(), n);
-    assert_eq!(a.cols(), b.rows());
-    let built = mm::build_mm(n, base, Mode::Nd, 1.0);
-    let mut a = a.clone();
-    let mut b = b.clone();
-    let (stats, _) = run_anchored_on_layout(
-        pool,
-        &built,
-        &mut [c, &mut a, &mut b],
-        base,
-        layout,
-        ContextExtras::None,
-        cfg,
-    );
-    stats
 }
 
 /// Computes `C += A·B` on the anchored executor.

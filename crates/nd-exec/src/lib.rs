@@ -3,8 +3,9 @@
 //! This crate is where the two halves of the paper finally meet.  `nd-sched`
 //! *simulates* the space-bounded scheduler of Section 4 on a PMH model;
 //! `nd-runtime` *really executes* algorithm DAGs, but with locality-blind flat
-//! work stealing.  `nd-exec` runs the same [`TaskGraph`](nd_runtime::TaskGraph)s
-//! on real threads **under the paper's anchoring discipline**:
+//! work stealing.  `nd-exec` runs the same
+//! [`CompiledGraph`](nd_runtime::CompiledGraph)s on real threads **under the
+//! paper's anchoring discipline**:
 //!
 //! 1. the host's memory hierarchy is detected (or synthesized) by
 //!    [`nd_pmh::topology`] and instantiated as a
@@ -17,8 +18,8 @@
 //!    decomposition ([`StrandCosts`](nd_sched::cost::StrandCosts)) and
 //!    allocation function `g_i(S)` to pin every task subtree to a subcluster
 //!    ahead of execution;
-//! 4. the [`execute`] module lowers the algorithm to the compiled, non-boxed
-//!    graph form of `nd-algorithms::exec` (CSR successor arena, atomic
+//! 4. the [`execute`] module lowers the algorithm to the compiled graph
+//!    form of `nd-algorithms::exec` (CSR successor arena, atomic
 //!    counter claims, self-resetting counters — see `nd_runtime::dataflow`
 //!    for the build → execute → reset → execute lifecycle) and routes each
 //!    ready strand to its anchor's subcluster queue, so chains of dependent

@@ -1,10 +1,10 @@
 //! The dataflow (ND) executor: compiled task graphs with dependency counters.
 //!
 //! An ND program's algorithm DAG — strands plus the dependency edges produced by the
-//! DAG Rewriting System — is materialised as a [`TaskGraph`] (a builder holding
-//! closures) or directly as a [`CompiledGraph`] (a reusable, allocation-free
-//! topology dispatched through a [`TaskTable`]).  Execution follows the dataflow
-//! discipline the paper advocates for inter-processor work: a task becomes *ready*
+//! DAG Rewriting System — is materialised as a [`CompiledGraph`] (a reusable,
+//! allocation-free topology) whose tasks dispatch by index through a
+//! [`TaskTable`].  Execution follows the dataflow discipline the paper
+//! advocates for inter-processor work: a task becomes *ready*
 //! when its last predecessor finishes, and ready tasks are pushed onto the finishing
 //! worker's own deque, so that chains of dependent tasks tend to stay on one core
 //! (the locality-preserving, depth-first intra-processor order) while idle workers
@@ -15,9 +15,11 @@
 //! Construction and execution are decoupled so repeated runs of the same algorithm
 //! DAG pay the construction cost exactly once:
 //!
-//! 1. **Build.**  Dependencies are flattened into one CSR arena
-//!    (`succ_offsets` + `succ_targets`), and the *initial* predecessor counts are
-//!    stored separately from the *live* atomic counters.
+//! 1. **Build.**  [`CompiledGraph::from_edges`] flattens the dependencies into
+//!    one CSR arena (`succ_offsets` + `succ_targets`) and stores the *initial*
+//!    predecessor counts separately from the *live* atomic counters.  It
+//!    rejects self-dependencies, out-of-range edges, cycles and a placement
+//!    vector of the wrong length.
 //! 2. **Execute.**  The steady-state hot path performs **no heap allocation and
 //!    acquires no mutex per task**: a ready task is an `(Arc<run state>, task
 //!    index)` pair on the deque, its claim is the atomic decrement of its
@@ -36,27 +38,28 @@
 //! The whole lifecycle in a dozen lines:
 //!
 //! ```
-//! use nd_runtime::dataflow::TaskGraph;
+//! use nd_runtime::dataflow::{CompiledGraph, TaskTable};
 //! use nd_runtime::ThreadPool;
 //! use std::sync::atomic::{AtomicUsize, Ordering};
 //! use std::sync::Arc;
 //!
-//! let pool = ThreadPool::new(2);
-//! let hits = Arc::new(AtomicUsize::new(0));
-//! let mut graph = TaskGraph::new();
-//! let (h1, h2) = (Arc::clone(&hits), Arc::clone(&hits));
-//! let a = graph.add_task(move || { h1.fetch_add(1, Ordering::SeqCst); });
-//! let b = graph.add_task(move || { h2.fetch_add(1, Ordering::SeqCst); });
-//! graph.add_dependency(a, b);
+//! struct Hits(AtomicUsize);
+//! impl TaskTable for Hits {
+//!     fn run_task(&self, _task: u32) {
+//!         self.0.fetch_add(1, Ordering::SeqCst);
+//!     }
+//! }
 //!
-//! // Build once …
-//! let mut compiled = graph.compile();
+//! let pool = ThreadPool::new(2);
+//! let hits = Arc::new(Hits(AtomicUsize::new(0)));
+//! // Build once (task 0 before task 1) …
+//! let graph = Arc::new(CompiledGraph::from_edges(2, &[(0, 1)], Vec::new()));
 //! // … execute any number of times: the graph auto-resets after every run.
 //! for round in 1..=3 {
-//!     let stats = compiled.execute(&pool).unwrap();
+//!     let stats = graph.execute(&pool, &hits).unwrap();
 //!     assert_eq!(stats.tasks, 2);
-//!     assert!(compiled.counters_are_reset());
-//!     assert_eq!(hits.load(Ordering::SeqCst), 2 * round);
+//!     assert!(graph.counters_are_reset());
+//!     assert_eq!(hits.0.load(Ordering::SeqCst), 2 * round);
 //! }
 //! ```
 //!
@@ -98,7 +101,6 @@ use crate::pool::{GraphTask, JobUnit, ThreadPool, WorkerCtx};
 use crate::CacheLine;
 use nd_trace::{EventKind, TraceEvent, EXEC_FLAG_INLINE, NO_TASK};
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -125,134 +127,6 @@ fn trace_run_boundary(pool: &ThreadPool, kind: EventKind, run_id: u32) {
     );
 }
 
-/// Identifier of a task in a [`TaskGraph`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TaskId(pub u32);
-
-struct TaskSpec {
-    closure: Box<dyn FnMut() + Send + 'static>,
-    succs: Vec<u32>,
-    preds: u32,
-}
-
-/// A task-graph builder: closures plus dependency edges.
-///
-/// `TaskGraph` is the convenient, closure-carrying front end.  Compile it once
-/// with [`TaskGraph::compile`] to get a [`ReusableGraph`] that can be executed
-/// any number of times, or hand it to [`execute_graph`] for the classic
-/// build-and-run-once flow.
-#[derive(Default)]
-pub struct TaskGraph {
-    tasks: Vec<TaskSpec>,
-    edges: usize,
-}
-
-impl TaskGraph {
-    /// An empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty graph with room for `n` tasks.
-    pub fn with_capacity(n: usize) -> Self {
-        TaskGraph {
-            tasks: Vec::with_capacity(n),
-            edges: 0,
-        }
-    }
-
-    /// Adds a task executing `f` and returns its id.
-    ///
-    /// The closure is `FnMut` so a compiled graph can be executed repeatedly;
-    /// within one execution it runs exactly once.
-    pub fn add_task(&mut self, f: impl FnMut() + Send + 'static) -> TaskId {
-        let id = TaskId(self.tasks.len() as u32);
-        self.tasks.push(TaskSpec {
-            closure: Box::new(f),
-            succs: Vec::new(),
-            preds: 0,
-        });
-        id
-    }
-
-    /// Adds a no-op task (useful for barrier/join points) and returns its id.
-    pub fn add_empty_task(&mut self) -> TaskId {
-        self.add_task(|| {})
-    }
-
-    /// Declares that `to` cannot start before `from` has finished.
-    ///
-    /// # Panics
-    /// Panics on a self-dependency.
-    pub fn add_dependency(&mut self, from: TaskId, to: TaskId) {
-        assert_ne!(from, to, "a task cannot depend on itself");
-        self.tasks[from.0 as usize].succs.push(to.0);
-        self.tasks[to.0 as usize].preds += 1;
-        self.edges += 1;
-    }
-
-    /// Number of tasks.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Number of dependency edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges
-    }
-
-    /// `true` if the dependency graph is acyclic (checked by Kahn's algorithm).
-    pub fn is_acyclic(&self) -> bool {
-        let n = self.tasks.len();
-        let mut indeg: Vec<u32> = self.tasks.iter().map(|t| t.preds).collect();
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(i) = queue.pop() {
-            seen += 1;
-            for &s in &self.tasks[i].succs {
-                indeg[s as usize] -= 1;
-                if indeg[s as usize] == 0 {
-                    queue.push(s as usize);
-                }
-            }
-        }
-        seen == n
-    }
-
-    /// Compiles the graph into a reusable, allocation-free form.
-    ///
-    /// # Panics
-    /// Panics if the graph contains a dependency cycle.
-    pub fn compile(self) -> ReusableGraph {
-        self.compile_placed(Vec::new())
-    }
-
-    /// Compiles the graph with per-task placement constraints (see
-    /// [`Placement`]; an empty vector places every task anywhere).
-    ///
-    /// # Panics
-    /// Panics if the graph is cyclic, or if `placement` is non-empty and its
-    /// length differs from the task count.
-    pub fn compile_placed(self, placement: Vec<Placement>) -> ReusableGraph {
-        assert!(self.is_acyclic(), "task graph contains a dependency cycle");
-        let edges = self.edges;
-        let n = self.tasks.len();
-        let mut closures = Vec::with_capacity(n);
-        let mut succs = Vec::with_capacity(n);
-        let mut preds = Vec::with_capacity(n);
-        for t in self.tasks {
-            closures.push(ClosureCell(UnsafeCell::new(t.closure)));
-            succs.push(t.succs);
-            preds.push(t.preds);
-        }
-        let graph = CompiledGraph::from_parts(succs, preds, edges, placement);
-        ReusableGraph {
-            graph: Arc::new(graph),
-            table: Arc::new(ClosureTable { closures }),
-        }
-    }
-}
-
 /// Statistics of one graph execution.
 #[derive(Clone, Debug)]
 pub struct ExecStats {
@@ -267,16 +141,19 @@ pub struct ExecStats {
     pub steals: u64,
 }
 
-/// Where a task must run in a placed execution (see [`execute_graph_placed`]).
+/// Where a task must run in a placed execution (one entry per task of
+/// [`CompiledGraph::from_edges`]'s `placement`).
 ///
 /// `Placement::Anywhere` keeps the classic behaviour: ready tasks go onto the
 /// finishing worker's own deque.  `Placement::Group(g)` routes the task to the
 /// pool's queue group `g` — the runtime counterpart of *anchoring* a task to a
 /// cache subcluster.  Only group `g`'s workers poll that queue, but a task that
 /// lands on a group member's own deque can still be stolen by an out-of-group
-/// worker unless the pool's steal order stays within the group (see
-/// [`execute_graph_placed`]); such escapes are what the pool's cross-cluster
-/// steal counters measure.
+/// worker unless the pool's steal order stays within the group; such escapes
+/// are what the pool's cross-cluster steal counters measure.  With a
+/// within-group steal order the group boundary is never crossed: a placed task
+/// that becomes ready goes to its group's injector, or stays on the finishing
+/// worker's deque when that worker already belongs to the group.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Placement {
     /// No constraint: run wherever dataflow order takes it.
@@ -287,10 +164,10 @@ pub enum Placement {
 
 /// The per-task work of a compiled graph, dispatched by index.
 ///
-/// This is the **non-boxed execution mode**: instead of a heap-boxed closure per
-/// strand, a table implementation matches on the task index (typically through
-/// an operation enum, as `nd-algorithms::exec` does with its block-operation
-/// table) and performs the work directly.  The executor guarantees `run_task`
+/// There is no heap-boxed closure per strand: a table implementation matches
+/// on the task index (typically through an operation enum, as
+/// `nd-algorithms::exec` does with its block-operation table) and performs the
+/// work directly.  The executor guarantees `run_task`
 /// is called **exactly once per task per execution** — a task is claimed by the
 /// atomic decrement of its dependency counter, so implementations may use
 /// interior mutability without further synchronisation as long as distinct
@@ -425,44 +302,9 @@ pub struct CompiledGraph {
 }
 
 impl CompiledGraph {
-    /// Builds a compiled graph from per-task successor lists and predecessor
-    /// counts (`preds[t]` must equal the number of times `t` appears in
-    /// `succs`).
-    fn from_parts(
-        succs: Vec<Vec<u32>>,
-        preds: Vec<u32>,
-        edges: usize,
-        placement: Vec<Placement>,
-    ) -> Self {
-        let n = succs.len();
-        assert!(
-            placement.is_empty() || placement.len() == n,
-            "placement length {} does not match task count {}",
-            placement.len(),
-            n
-        );
-        let mut succ_offsets = Vec::with_capacity(n + 1);
-        let mut succ_targets = Vec::with_capacity(edges);
-        succ_offsets.push(0u32);
-        for s in &succs {
-            succ_targets.extend_from_slice(s);
-            succ_offsets.push(succ_targets.len() as u32);
-        }
-        let roots = (0..n as u32).filter(|&t| preds[t as usize] == 0).collect();
-        CompiledGraph {
-            succ_offsets,
-            succ_targets,
-            pending: preds.iter().map(|&p| AtomicU32::new(p)).collect(),
-            initial_preds: preds,
-            roots,
-            placement,
-            edges,
-            in_flight: AtomicBool::new(false),
-        }
-    }
-
-    /// Builds a compiled graph directly from an edge list, without going
-    /// through closure-carrying [`TaskGraph`] construction.
+    /// Builds a compiled graph from its task count and dependency edges
+    /// `(from, to)`; `placement` is empty (every task [`Placement::Anywhere`])
+    /// or holds one entry per task.
     ///
     /// # Panics
     /// Panics on self-dependencies, out-of-range task indices, dependency
@@ -479,7 +321,32 @@ impl CompiledGraph {
             succs[from as usize].push(to);
             preds[to as usize] += 1;
         }
-        let graph = CompiledGraph::from_parts(succs, preds, edges.len(), placement);
+        assert!(
+            placement.is_empty() || placement.len() == task_count,
+            "placement length {} does not match task count {}",
+            placement.len(),
+            task_count
+        );
+        let mut succ_offsets = Vec::with_capacity(task_count + 1);
+        let mut succ_targets = Vec::with_capacity(edges.len());
+        succ_offsets.push(0u32);
+        for s in &succs {
+            succ_targets.extend_from_slice(s);
+            succ_offsets.push(succ_targets.len() as u32);
+        }
+        let roots = (0..task_count as u32)
+            .filter(|&t| preds[t as usize] == 0)
+            .collect();
+        let graph = CompiledGraph {
+            succ_offsets,
+            succ_targets,
+            pending: preds.iter().map(|&p| AtomicU32::new(p)).collect(),
+            initial_preds: preds,
+            roots,
+            placement,
+            edges: edges.len(),
+            in_flight: AtomicBool::new(false),
+        };
         assert!(graph.is_acyclic(), "task graph contains a dependency cycle");
         graph
     }
@@ -1060,92 +927,6 @@ impl<T: TaskTable> GraphTask for ActiveRun<T> {
     }
 }
 
-/// A boxed closure slot of a [`ReusableGraph`]'s task table.
-///
-/// `Sync` by assertion: the dependency counters guarantee each slot is
-/// accessed by exactly one worker per execution, and executions of the owning
-/// graph are serialised (`&mut self` on [`ReusableGraph::execute`] plus the
-/// compiled graph's in-flight guard).
-struct ClosureCell(UnsafeCell<Box<dyn FnMut() + Send + 'static>>);
-
-// SAFETY: see the type-level comment.
-unsafe impl Sync for ClosureCell {}
-
-struct ClosureTable {
-    closures: Vec<ClosureCell>,
-}
-
-impl TaskTable for ClosureTable {
-    #[inline]
-    fn run_task(&self, task: u32) {
-        // SAFETY: the executor calls run_task exactly once per task per
-        // execution (atomic counter claim), so no other reference to this
-        // slot exists while we hold it.
-        let f = unsafe { &mut *self.closures[task as usize].0.get() };
-        f();
-    }
-}
-
-/// A compiled, reusable task graph carrying boxed closures.
-///
-/// Built once from a [`TaskGraph`] via [`TaskGraph::compile`]; every call to
-/// [`ReusableGraph::execute`] re-runs the whole graph without rebuilding
-/// anything — construction cost is paid exactly once.
-pub struct ReusableGraph {
-    graph: Arc<CompiledGraph>,
-    table: Arc<ClosureTable>,
-}
-
-impl ReusableGraph {
-    /// Executes the graph, blocking until every task has run.  The graph is
-    /// left reset, ready for the next call.
-    ///
-    /// Takes `&mut self` so two executions of the same graph (which would run
-    /// the same `FnMut` closures concurrently) cannot overlap.
-    ///
-    /// # Errors
-    /// Returns the run's first [`RunError`] if a task panicked; the remaining
-    /// tasks are drained without running and the graph is left reset.
-    pub fn execute(&mut self, pool: &ThreadPool) -> Result<ExecStats, RunError> {
-        self.graph.execute(pool, &self.table)
-    }
-
-    /// Like [`ReusableGraph::execute`], but with a per-run [`RunBudget`]
-    /// (wall-clock deadline checked at every task claim).
-    ///
-    /// # Errors
-    /// Returns [`RunError::DeadlineExceeded`] if the budget expires mid-run,
-    /// or [`RunError::Panicked`] if a task panics.
-    pub fn execute_with(
-        &mut self,
-        pool: &ThreadPool,
-        budget: &RunBudget,
-    ) -> Result<ExecStats, RunError> {
-        self.graph.execute_with(pool, &self.table, budget)
-    }
-
-    /// Number of tasks.
-    pub fn task_count(&self) -> usize {
-        self.graph.task_count()
-    }
-
-    /// Number of dependency edges.
-    pub fn edge_count(&self) -> usize {
-        self.graph.edge_count()
-    }
-
-    /// `true` if every live dependency counter equals its initial value (see
-    /// [`CompiledGraph::counters_are_reset`]).
-    pub fn counters_are_reset(&self) -> bool {
-        self.graph.counters_are_reset()
-    }
-
-    /// Restores the dependency counters (see [`CompiledGraph::reset`]).
-    pub fn reset(&self) {
-        self.graph.reset()
-    }
-}
-
 /// What one [`ScheduleDriver::step`] did with its task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepOutcome {
@@ -1387,45 +1168,6 @@ impl<T: TaskTable> Drop for ScheduleDriver<T> {
     }
 }
 
-/// Executes a task graph on a pool, blocking until every task has run.
-///
-/// Compiles the graph and runs it once; to amortise construction over many
-/// executions, use [`TaskGraph::compile`] and call
-/// [`ReusableGraph::execute`] repeatedly instead.
-///
-/// # Panics
-/// Panics if the graph contains a dependency cycle (which could never complete).
-///
-/// # Errors
-/// Returns [`RunError::Panicked`] if a task panics; the run drains and the
-/// error carries the panic payload.
-pub fn execute_graph(pool: &ThreadPool, graph: TaskGraph) -> Result<ExecStats, RunError> {
-    execute_graph_placed(pool, graph, Vec::new())
-}
-
-/// Executes a task graph with per-task placement constraints.
-///
-/// `placement` maps each [`TaskId`] index to a [`Placement`]; an empty vector
-/// places every task [`Placement::Anywhere`].  Tasks placed in a queue group
-/// are submitted to that group's injector when they become ready (or kept on
-/// the finishing worker's deque when it already belongs to the group), so with
-/// a within-group steal order the group boundary is never crossed.
-///
-/// # Panics
-/// Panics if the graph is cyclic, or if `placement` is non-empty and its
-/// length differs from the task count.
-///
-/// # Errors
-/// Returns [`RunError::Panicked`] if a task panics; the run drains and the
-/// error carries the panic payload.
-pub fn execute_graph_placed(
-    pool: &ThreadPool,
-    graph: TaskGraph,
-    placement: Vec<Placement>,
-) -> Result<ExecStats, RunError> {
-    graph.compile_placed(placement).execute(pool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1436,10 +1178,37 @@ mod tests {
         ThreadPool::new(4)
     }
 
+    /// A test table that runs one closure over the task index.
+    struct FnTable<F>(F);
+
+    impl<F: Fn(u32) + Send + Sync + 'static> TaskTable for FnTable<F> {
+        fn run_task(&self, task: u32) {
+            (self.0)(task)
+        }
+    }
+
+    fn fn_table<F: Fn(u32) + Send + Sync + 'static>(f: F) -> Arc<FnTable<F>> {
+        Arc::new(FnTable(f))
+    }
+
+    fn graph(n: usize, edges: &[(u32, u32)]) -> Arc<CompiledGraph> {
+        Arc::new(CompiledGraph::from_edges(n, edges, Vec::new()))
+    }
+
+    /// A table that counts how often any task ran.
+    fn counting_table() -> (Arc<AtomicUsize>, Arc<impl TaskTable>) {
+        let counter = Arc::new(AtomicUsize::new(0));
+        let c = Arc::clone(&counter);
+        let table = fn_table(move |_| {
+            c.fetch_add(1, Ordering::SeqCst);
+        });
+        (counter, table)
+    }
+
     #[test]
     fn empty_graph_returns_immediately() {
         let p = pool();
-        let stats = execute_graph(&p, TaskGraph::new()).unwrap();
+        let stats = graph(0, &[]).execute(&p, &fn_table(|_| {})).unwrap();
         assert_eq!(stats.tasks, 0);
     }
 
@@ -1447,52 +1216,36 @@ mod tests {
     fn diamond_respects_dependencies() {
         let p = pool();
         let order = Arc::new(Mutex::new(Vec::new()));
-        let mut g = TaskGraph::new();
-        let mk = |name: &'static str, order: &Arc<Mutex<Vec<&'static str>>>| {
-            let o = Arc::clone(order);
-            move || o.lock().push(name)
-        };
-        let a = g.add_task(mk("a", &order));
-        let b = g.add_task(mk("b", &order));
-        let c = g.add_task(mk("c", &order));
-        let d = g.add_task(mk("d", &order));
-        g.add_dependency(a, b);
-        g.add_dependency(a, c);
-        g.add_dependency(b, d);
-        g.add_dependency(c, d);
-        let stats = execute_graph(&p, g).unwrap();
+        let o = Arc::clone(&order);
+        let table = fn_table(move |t| o.lock().push(t));
+        let stats = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)])
+            .execute(&p, &table)
+            .unwrap();
         assert_eq!(stats.tasks, 4);
         let order = order.lock();
-        let pos = |x: &str| order.iter().position(|&o| o == x).unwrap();
-        assert!(pos("a") < pos("b"));
-        assert!(pos("a") < pos("c"));
-        assert!(pos("b") < pos("d"));
-        assert!(pos("c") < pos("d"));
+        let pos = |x: u32| order.iter().position(|&o| o == x).unwrap();
+        assert!(pos(0) < pos(1));
+        assert!(pos(0) < pos(2));
+        assert!(pos(1) < pos(3));
+        assert!(pos(2) < pos(3));
     }
 
     #[test]
     fn every_task_runs_exactly_once() {
         let p = pool();
-        let counter = Arc::new(AtomicUsize::new(0));
-        let mut g = TaskGraph::with_capacity(500);
-        let ids: Vec<TaskId> = (0..500)
-            .map(|_| {
-                let c = Arc::clone(&counter);
-                g.add_task(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
+        let (counter, table) = counting_table();
         // Layered random-ish dependencies: task i depends on a few earlier tasks.
-        for i in 1..ids.len() {
-            for k in 1..=3usize {
+        let mut edges = Vec::new();
+        for i in 1..500u32 {
+            for k in 1..=3u32 {
                 if i >= k * 7 {
-                    g.add_dependency(ids[i - k * 7], ids[i]);
+                    edges.push((i - k * 7, i));
                 }
             }
         }
+        let g = graph(500, &edges);
         assert!(g.is_acyclic());
-        let stats = execute_graph(&p, g).unwrap();
+        let stats = g.execute(&p, &table).unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 500);
         assert_eq!(stats.tasks, 500);
         assert_eq!(stats.tasks_per_worker.iter().sum::<u64>(), 500);
@@ -1502,36 +1255,26 @@ mod tests {
     fn serial_chain_executes_in_order() {
         let p = ThreadPool::new(2);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let mut g = TaskGraph::new();
-        let n = 50;
-        let mut prev: Option<TaskId> = None;
-        for i in 0..n {
-            let l = Arc::clone(&log);
-            let id = g.add_task(move || l.lock().push(i));
-            if let Some(pv) = prev {
-                g.add_dependency(pv, id);
-            }
-            prev = Some(id);
-        }
-        execute_graph(&p, g).unwrap();
-        let log = log.lock();
-        assert_eq!(*log, (0..n).collect::<Vec<_>>());
+        let l = Arc::clone(&log);
+        let n = 50u32;
+        let edges: Vec<(u32, u32)> = (1..n).map(|t| (t - 1, t)).collect();
+        graph(n as usize, &edges)
+            .execute(&p, &fn_table(move |t| l.lock().push(t)))
+            .unwrap();
+        assert_eq!(*log.lock(), (0..n).collect::<Vec<_>>());
     }
 
     #[test]
     fn independent_tasks_use_multiple_workers() {
         let p = ThreadPool::new(4);
-        let mut g = TaskGraph::new();
-        for _ in 0..64 {
-            g.add_task(|| {
-                let mut x = 0u64;
-                for i in 0..300_000u64 {
-                    x = x.wrapping_mul(31).wrapping_add(i);
-                }
-                std::hint::black_box(x);
-            });
-        }
-        let stats = execute_graph(&p, g).unwrap();
+        let table = fn_table(|_| {
+            let mut x = 0u64;
+            for i in 0..300_000u64 {
+                x = x.wrapping_mul(31).wrapping_add(i);
+            }
+            std::hint::black_box(x);
+        });
+        let stats = graph(64, &[]).execute(&p, &table).unwrap();
         let busy_workers = stats.tasks_per_worker.iter().filter(|&&c| c > 0).count();
         assert!(
             busy_workers >= 2,
@@ -1543,41 +1286,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "cycle")]
     fn cyclic_graph_is_rejected() {
-        let p = pool();
-        let mut g = TaskGraph::new();
-        let a = g.add_task(|| {});
-        let b = g.add_task(|| {});
-        g.add_dependency(a, b);
-        g.add_dependency(b, a);
-        let _ = execute_graph(&p, g);
+        let _ = CompiledGraph::from_edges(2, &[(0, 1), (1, 0)], Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "cannot depend on itself")]
     fn self_dependency_is_rejected() {
-        let mut g = TaskGraph::new();
-        let a = g.add_task(|| {});
-        g.add_dependency(a, a);
+        let _ = CompiledGraph::from_edges(1, &[(0, 0)], Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_edge_is_rejected() {
+        let _ = CompiledGraph::from_edges(2, &[(0, 2)], Vec::new());
     }
 
     #[test]
     fn graph_reuse_of_pool_across_executions() {
         let p = pool();
+        let edges: Vec<(u32, u32)> = (1..20).map(|t| (t - 1, t)).collect();
         for round in 0..5 {
-            let counter = Arc::new(AtomicUsize::new(0));
-            let mut g = TaskGraph::new();
-            let prev_ids: Vec<TaskId> = (0..20)
-                .map(|_| {
-                    let c = Arc::clone(&counter);
-                    g.add_task(move || {
-                        c.fetch_add(1, Ordering::SeqCst);
-                    })
-                })
-                .collect();
-            for w in prev_ids.windows(2) {
-                g.add_dependency(w[0], w[1]);
-            }
-            execute_graph(&p, g).unwrap();
+            let (counter, table) = counting_table();
+            graph(20, &edges).execute(&p, &table).unwrap();
             assert_eq!(counter.load(Ordering::SeqCst), 20, "round {round}");
         }
     }
@@ -1585,27 +1315,16 @@ mod tests {
     #[test]
     fn compiled_graph_executes_repeatedly_without_rebuilding() {
         let p = pool();
-        let counter = Arc::new(AtomicUsize::new(0));
-        let mut g = TaskGraph::new();
-        let ids: Vec<TaskId> = (0..64)
-            .map(|_| {
-                let c = Arc::clone(&counter);
-                g.add_task(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        for i in 1..ids.len() {
-            g.add_dependency(ids[i / 2], ids[i]); // binary tree
-        }
-        let mut compiled = g.compile();
-        assert!(compiled.counters_are_reset());
+        let (counter, table) = counting_table();
+        let edges: Vec<(u32, u32)> = (1..64).map(|t| (t / 2, t)).collect(); // binary tree
+        let g = graph(64, &edges);
+        assert!(g.counters_are_reset());
         for round in 1..=3 {
-            let stats = compiled.execute(&p).unwrap();
+            let stats = g.execute(&p, &table).unwrap();
             assert_eq!(stats.tasks, 64, "round {round}");
             assert_eq!(counter.load(Ordering::SeqCst), 64 * round, "round {round}");
             assert!(
-                compiled.counters_are_reset(),
+                g.counters_are_reset(),
                 "counters must be restored after round {round}"
             );
         }
@@ -1860,12 +1579,9 @@ mod tests {
     #[test]
     fn unbounded_budget_never_trips() {
         let p = pool();
-        let mut g = TaskGraph::new();
-        for _ in 0..32 {
-            g.add_task(|| {});
-        }
-        let mut compiled = g.compile();
-        let stats = compiled.execute_with(&p, &RunBudget::UNBOUNDED).unwrap();
+        let stats = graph(32, &[])
+            .execute_with(&p, &fn_table(|_| {}), &RunBudget::UNBOUNDED)
+            .unwrap();
         assert_eq!(stats.tasks, 32);
     }
 

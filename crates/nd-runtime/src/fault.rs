@@ -33,8 +33,7 @@ pub const GENERIC_TASK_LABEL: &str = "task";
 /// Why a graph execution failed.
 ///
 /// Returned by every `execute` entry point (`CompiledGraph::execute`,
-/// `PersistentRun::execute`, `ReusableGraph::execute` and everything layered
-/// on them).  The run is fully drained before the error is returned: every
+/// `PersistentRun::execute` and everything layered on them).  The run is fully drained before the error is returned: every
 /// task was claimed exactly once (executed or skipped), the dependency
 /// counters are back at their initial values, and the pool is fully usable.
 /// Call `reset()` on the graph before re-executing — it re-asserts the

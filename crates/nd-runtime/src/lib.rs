@@ -23,11 +23,9 @@
 //!   stealing for load balance — the NP-style intra-processor order the paper
 //!   advocates).
 //! * [`lower`] — the lowering from the model layer's ground-truth object (the
-//!   DRS-produced `AlgorithmDag` of `nd-core`) into both executable graph
-//!   forms, preserving vertex indexing so per-vertex side tables (kernel
-//!   tables, anchoring placements) line up without translation.
-//! * [`join`] — a minimal fork-join façade built on the same pool, used by examples
-//!   and by the NP wall-clock baselines.
+//!   DRS-produced `AlgorithmDag` of `nd-core`) into the compiled graph,
+//!   preserving vertex indexing so per-vertex side tables (kernel tables,
+//!   anchoring placements) line up without translation.
 //! * [`fault`] — the failure story: typed [`RunError`]s (strand panics are
 //!   caught at the execution sites and the run drains to its latch instead of
 //!   hanging) and per-run wall-clock [`RunBudget`] deadlines.
@@ -61,7 +59,6 @@ macro_rules! field_lines {
 pub mod chaos;
 pub mod dataflow;
 pub mod fault;
-pub mod join;
 pub mod latch;
 pub mod lower;
 pub mod pool;
@@ -69,11 +66,10 @@ pub mod pool;
 #[cfg(feature = "chaos")]
 pub use chaos::{ChaosStats, FaultPlan, WorkerDelay, CHAOS_PANIC_MARKER};
 pub use dataflow::{
-    CompiledGraph, ExecStats, Placement, ReusableGraph, ScheduleDriver, ScheduleError, StepOutcome,
-    TaskGraph, TaskId, TaskTable,
+    CompiledGraph, ExecStats, Placement, ScheduleDriver, ScheduleError, StepOutcome, TaskTable,
 };
 pub use fault::{Priority, RunBudget, RunError};
-pub use lower::{lower_dag, lower_dag_boxed, LoweredDag};
+pub use lower::{lower_dag, LoweredDag};
 pub use pool::{PoolStats, PoolTopology, ThreadPool};
 
 /// Aligns and pads `T` to whole 64-byte cache lines, so a field that every

@@ -1,26 +1,22 @@
 //! Lowering the model layer's ground-truth object — the [`AlgorithmDag`]
 //! produced by the DAG Rewriting System of `nd-core` — into this crate's
-//! executable graph forms.
+//! executable graph.
 //!
 //! Before this module existed every executor-facing crate hand-copied the same
 //! loop ("walk the DAG vertices, collect the edges, remember which vertex is a
 //! strand"); now the runtime itself defines what it means to execute a DRS
 //! output, and the algorithm layer only supplies the per-strand work:
+//! [`lower_dag`] produces a [`CompiledGraph`] (one task per DAG vertex —
+//! barriers become dependency-only tasks) plus the strands' opaque operation
+//! tags, which the caller resolves against its own kernel table (a
+//! [`TaskTable`](crate::dataflow::TaskTable) implementation).
 //!
-//! * [`lower_dag`] produces the reusable, allocation-free form: a
-//!   [`CompiledGraph`] (one task per DAG vertex — barriers become dependency-only
-//!   tasks) plus the strands' opaque operation tags, which the caller resolves
-//!   against its own kernel table (a [`TaskTable`](crate::dataflow::TaskTable)
-//!   implementation).
-//! * [`lower_dag_boxed`] produces the classic closure-carrying [`TaskGraph`]
-//!   for callers that want to mix DRS strands with ad-hoc boxed closures.
-//!
-//! Both preserve the DAG's vertex indexing: task `i` of the lowered graph is
+//! Lowering preserves the DAG's vertex indexing: task `i` of the lowered graph is
 //! vertex `i` of the DAG, so per-vertex side tables (placements from
 //! `nd-exec`'s `σ·M_i` anchoring, operation tables, statistics) line up without
 //! translation.
 
-use crate::dataflow::{CompiledGraph, Placement, TaskGraph};
+use crate::dataflow::{CompiledGraph, Placement};
 use nd_core::dag::{AlgorithmDag, DagVertex};
 
 /// The executable skeleton of one algorithm DAG: the dependency structure in
@@ -62,36 +58,10 @@ pub fn lower_dag(dag: &AlgorithmDag, placement: Vec<Placement>) -> LoweredDag {
     }
 }
 
-/// Lowers an algorithm DAG to a closure-carrying [`TaskGraph`]: `make(op)` is
-/// called once per tagged strand to build its closure; barriers and untagged
-/// strands become empty tasks.  Task indices equal DAG vertex indices.
-pub fn lower_dag_boxed(
-    dag: &AlgorithmDag,
-    mut make: impl FnMut(u64) -> Box<dyn FnMut() + Send + 'static>,
-) -> TaskGraph {
-    let mut graph = TaskGraph::with_capacity(dag.vertex_count());
-    for v in dag.vertex_ids() {
-        match dag.vertex(v) {
-            DagVertex::Strand { op: Some(op), .. } => {
-                graph.add_task(make(*op));
-            }
-            _ => {
-                graph.add_empty_task();
-            }
-        }
-    }
-    for v in dag.vertex_ids() {
-        for s in dag.successors(v) {
-            graph.add_dependency(crate::dataflow::TaskId(v.0), crate::dataflow::TaskId(s.0));
-        }
-    }
-    graph
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataflow::{execute_graph, TaskTable};
+    use crate::dataflow::TaskTable;
     use crate::pool::ThreadPool;
     use nd_core::spawn_tree::NodeId;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,20 +122,26 @@ mod tests {
     }
 
     #[test]
-    fn boxed_lowering_runs_one_closure_per_tagged_strand() {
-        let dag = tiny_dag();
-        let hits = Arc::new(AtomicU64::new(0));
-        let graph = lower_dag_boxed(&dag, |op| {
-            let hits = Arc::clone(&hits);
-            Box::new(move || {
-                hits.fetch_add(op, Ordering::SeqCst);
-            })
+    fn lowered_tags_run_once_per_tagged_strand() {
+        struct Sum {
+            hits: AtomicU64,
+            tags: Vec<Option<u64>>,
+        }
+        impl TaskTable for Sum {
+            fn run_task(&self, task: u32) {
+                if let Some(op) = self.tags[task as usize] {
+                    self.hits.fetch_add(op, Ordering::SeqCst);
+                }
+            }
+        }
+        let lowered = lower_dag(&tiny_dag(), Vec::new());
+        let table = Arc::new(Sum {
+            hits: AtomicU64::new(0),
+            tags: lowered.op_tags,
         });
-        assert_eq!(graph.task_count(), 3);
-        assert_eq!(graph.edge_count(), 2);
         let pool = ThreadPool::new(2);
-        execute_graph(&pool, graph).unwrap();
-        assert_eq!(hits.load(Ordering::SeqCst), 7 + 9);
+        Arc::new(lowered.graph).execute(&pool, &table).unwrap();
+        assert_eq!(table.hits.load(Ordering::SeqCst), 7 + 9);
     }
 
     #[test]

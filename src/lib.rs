@@ -9,8 +9,8 @@
 //! * [`pmh`] — the Parallel Memory Hierarchy machine model, cache simulators, and
 //!   host-topology detection.
 //! * [`sched`] — space-bounded and work-stealing schedulers simulated on a PMH.
-//! * [`runtime`] — a real multithreaded work-stealing runtime with fork-join (NP)
-//!   and dataflow (ND) execution modes, optionally topology-aware.
+//! * [`runtime`] — a real multithreaded work-stealing runtime whose dataflow
+//!   executor runs both NP and ND DAGs, optionally topology-aware.
 //! * [`exec`] — the hierarchy-aware space-bounded executor: real execution under
 //!   the paper's anchoring discipline on a pool shaped like the PMH.
 //! * [`linalg`] — the dense linear-algebra and dynamic-programming kernel substrate.

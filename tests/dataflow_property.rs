@@ -2,74 +2,25 @@
 //! DAGs and pool sizes 1 / 2 / 8, every task runs exactly once and never
 //! before any of its predecessors.
 
-use nd_runtime::dataflow::{execute_graph, execute_graph_placed, Placement, TaskGraph};
+use nd_runtime::dataflow::{CompiledGraph, Placement};
 use nd_runtime::pool::{PoolTopology, ThreadPool};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 mod common;
 use common::pool_sizes;
+#[path = "common/random_dag.rs"]
+mod random_dag;
+use random_dag::{edges_of, random_preds, Probe};
 
-/// Deterministic random predecessor lists: task `j` depends on each task in a
-/// window of earlier tasks with probability `density_percent`%.  (Edges always
-/// point forward, so the graph is acyclic by construction.)
-fn random_preds(n: usize, density_percent: u64, seed: u64) -> Vec<Vec<usize>> {
-    // Tiny splitmix stream, independent of the rand shim so this test
-    // documents its own reproducible stream.
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (j, p) in preds.iter_mut().enumerate().skip(1) {
-        let window = 24.min(j);
-        for i in (j - window)..j {
-            if next() % 100 < density_percent {
-                p.push(i);
-            }
-        }
-    }
-    preds
-}
-
-/// Builds a task graph over `preds` whose tasks record how often they ran and
-/// count, at start time, predecessors that have not finished yet.
-fn instrumented_graph(preds: &[Vec<usize>]) -> (TaskGraph, Arc<Vec<AtomicU32>>, Arc<AtomicU32>) {
-    let n = preds.len();
-    let done: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-    let runs: Arc<Vec<AtomicU32>> = Arc::new((0..n).map(|_| AtomicU32::new(0)).collect());
-    let violations = Arc::new(AtomicU32::new(0));
-    let mut graph = TaskGraph::with_capacity(n);
-    let ids: Vec<_> = (0..n)
-        .map(|j| {
-            let done = Arc::clone(&done);
-            let runs = Arc::clone(&runs);
-            let violations = Arc::clone(&violations);
-            let my_preds = preds[j].clone();
-            graph.add_task(move || {
-                for &p in &my_preds {
-                    if !done[p].load(Ordering::SeqCst) {
-                        violations.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-                runs[j].fetch_add(1, Ordering::SeqCst);
-                // The flag write is the task's final action, so a successor
-                // observing it may rely on everything before it.
-                done[j].store(true, Ordering::SeqCst);
-            })
-        })
-        .collect();
-    for (j, p) in preds.iter().enumerate() {
-        for &i in p {
-            graph.add_dependency(ids[i], ids[j]);
-        }
-    }
-    (graph, runs, violations)
+/// Compiles a graph over `preds` (with `placement`) and its probe table.
+fn instrumented_graph(
+    preds: &[Vec<usize>],
+    placement: Vec<Placement>,
+) -> (Arc<CompiledGraph>, Arc<Probe>) {
+    let graph = CompiledGraph::from_edges(preds.len(), &edges_of(preds), placement);
+    (Arc::new(graph), Arc::new(Probe::new(preds.to_vec())))
 }
 
 proptest! {
@@ -85,15 +36,15 @@ proptest! {
     ) {
         let preds = random_preds(n, density, seed);
         for pool_size in pool_sizes() {
-            let (graph, runs, violations) = instrumented_graph(&preds);
+            let (graph, probe) = instrumented_graph(&preds, Vec::new());
             prop_assert!(graph.is_acyclic());
             let pool = ThreadPool::new(pool_size);
-            let stats = execute_graph(&pool, graph).expect("run");
+            let stats = graph.execute(&pool, &probe).expect("run");
             prop_assert_eq!(stats.tasks, n);
-            prop_assert_eq!(violations.load(Ordering::SeqCst), 0,
+            prop_assert_eq!(probe.violations.load(Ordering::SeqCst), 0,
                 "a task started before a predecessor finished (pool = {})", pool_size);
             for j in 0..n {
-                prop_assert_eq!(runs[j].load(Ordering::SeqCst), 1,
+                prop_assert_eq!(probe.runs[j].load(Ordering::SeqCst), 1,
                     "task {} ran a wrong number of times (pool = {})", j, pool_size);
             }
             prop_assert_eq!(stats.tasks_per_worker.iter().sum::<u64>(), n as u64);
@@ -113,7 +64,6 @@ proptest! {
             steal_distance: vec![vec![0; 4]; 4],
         };
         let preds = random_preds(n, 30, seed);
-        let (graph, runs, violations) = instrumented_graph(&preds);
         let placement: Vec<Placement> = (0..n)
             .map(|j| match j % 3 {
                 0 => Placement::Group(0),
@@ -121,12 +71,13 @@ proptest! {
                 _ => Placement::Anywhere,
             })
             .collect();
+        let (graph, probe) = instrumented_graph(&preds, placement);
         let pool = ThreadPool::with_topology(topology);
-        let stats = execute_graph_placed(&pool, graph, placement).expect("run");
+        let stats = graph.execute(&pool, &probe).expect("run");
         prop_assert_eq!(stats.tasks, n);
-        prop_assert_eq!(violations.load(Ordering::SeqCst), 0);
+        prop_assert_eq!(probe.violations.load(Ordering::SeqCst), 0);
         for j in 0..n {
-            prop_assert_eq!(runs[j].load(Ordering::SeqCst), 1);
+            prop_assert_eq!(probe.runs[j].load(Ordering::SeqCst), 1);
         }
     }
 }

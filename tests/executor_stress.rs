@@ -1,139 +1,39 @@
-//! Executor stress test: the boxed (closure) and non-boxed ([`TaskTable`])
-//! execution modes run the same randomized DAGs and must both execute every
-//! task exactly once, never before a predecessor, across pool sizes — and the
-//! non-boxed graphs stay reusable under repeated execution.
+//! Executor stress test: compiled graphs over randomized DAGs must execute
+//! every task exactly once, never before a predecessor, across pool sizes —
+//! and stay reusable under repeated execution.
 
-use nd_runtime::dataflow::{execute_graph, CompiledGraph, TaskGraph, TaskTable};
+use nd_runtime::dataflow::{CompiledGraph, TaskTable};
 use nd_runtime::{RunError, ThreadPool};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod common;
 use common::pool_sizes;
+#[path = "common/random_dag.rs"]
+mod random_dag;
+use random_dag::{edges_of, random_preds, Probe};
 
-/// Deterministic random predecessor lists: task `j` depends on each task in a
-/// window of earlier tasks with probability `density_percent`%.  (Edges always
-/// point forward, so the graph is acyclic by construction.)
-fn random_preds(n: usize, density_percent: u64, seed: u64) -> Vec<Vec<usize>> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (j, p) in preds.iter_mut().enumerate().skip(1) {
-        let window = 24.min(j);
-        for i in (j - window)..j {
-            if next() % 100 < density_percent {
-                p.push(i);
-            }
-        }
-    }
-    preds
-}
-
-/// Shared instrumentation: records per-task run counts and precedence
-/// violations (a task observing an unfinished predecessor at start time).
-struct Probe {
-    preds: Vec<Vec<usize>>,
-    done: Vec<AtomicBool>,
-    runs: Vec<AtomicU32>,
-    violations: AtomicU32,
-}
-
-impl Probe {
-    fn new(preds: Vec<Vec<usize>>) -> Self {
-        let n = preds.len();
-        Probe {
-            preds,
-            done: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            runs: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            violations: AtomicU32::new(0),
-        }
-    }
-
-    fn observe(&self, j: usize) {
-        for &p in &self.preds[j] {
-            if !self.done[p].load(Ordering::SeqCst) {
-                self.violations.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        self.runs[j].fetch_add(1, Ordering::SeqCst);
-        self.done[j].store(true, Ordering::SeqCst);
-    }
-
-    fn reset_round(&self) {
-        for d in &self.done {
-            d.store(false, Ordering::SeqCst);
-        }
-    }
-
-    fn assert_round(&self, round: u32, label: &str) {
-        assert_eq!(self.violations.load(Ordering::SeqCst), 0, "{label}");
-        assert!(
-            self.runs.iter().all(|r| r.load(Ordering::SeqCst) == round),
-            "{label}: every task must have run exactly {round} times"
-        );
-    }
-}
-
-impl TaskTable for Probe {
-    fn run_task(&self, task: u32) {
-        self.observe(task as usize);
-    }
-}
-
-fn edges_of(preds: &[Vec<usize>]) -> Vec<(u32, u32)> {
-    preds
-        .iter()
-        .enumerate()
-        .flat_map(|(j, ps)| ps.iter().map(move |&i| (i as u32, j as u32)))
-        .collect()
-}
-
-/// Both modes, three DAG shapes (sparse, medium, dense), three pool sizes.
+/// Three DAG shapes (sparse, medium, dense), three pool sizes.
 #[test]
-fn boxed_and_table_modes_agree_on_randomized_dags() {
+fn table_mode_runs_randomized_dags_exactly_once_in_order() {
     for (seed, density) in [(1u64, 10u64), (2, 45), (3, 85)] {
         let n = 400usize;
         let preds = random_preds(n, density, seed);
         for workers in pool_sizes() {
             let pool = ThreadPool::new(workers);
-
-            // Boxed mode: closures over a shared probe.
-            let probe = Arc::new(Probe::new(preds.clone()));
-            let mut g = TaskGraph::with_capacity(n);
-            let ids: Vec<_> = (0..n)
-                .map(|j| {
-                    let probe = Arc::clone(&probe);
-                    g.add_task(move || probe.observe(j))
-                })
-                .collect();
-            for (j, ps) in preds.iter().enumerate() {
-                for &i in ps {
-                    g.add_dependency(ids[i], ids[j]);
-                }
-            }
-            let stats = execute_graph(&pool, g).expect("run");
-            assert_eq!(stats.tasks, n);
-            probe.assert_round(1, &format!("boxed seed={seed} workers={workers}"));
-
-            // Non-boxed mode: the probe *is* the task table.
+            // The probe *is* the task table.
             let table = Arc::new(Probe::new(preds.clone()));
             let graph = Arc::new(CompiledGraph::from_edges(n, &edges_of(&preds), Vec::new()));
             let stats = graph.execute(&pool, &table).expect("run");
             assert_eq!(stats.tasks, n);
-            table.assert_round(1, &format!("table seed={seed} workers={workers}"));
+            table.assert_round(1, &format!("seed={seed} workers={workers}"));
             assert!(graph.counters_are_reset());
         }
     }
 }
 
-/// The non-boxed graph stays correct under repeated execution: five rounds on
+/// A compiled graph stays correct under repeated execution: five rounds on
 /// one compiled graph, each ordered and exactly-once, counters restored.
 #[test]
 fn table_mode_reuse_stays_ordered_over_many_rounds() {

@@ -6,54 +6,12 @@ use nd_algorithms::common::Mode;
 use nd_algorithms::exec::{compile_algorithm, ExecContext};
 use nd_algorithms::mm::build_mm;
 use nd_linalg::Matrix;
-use nd_runtime::dataflow::TaskGraph;
 use nd_runtime::ThreadPool;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 mod common;
 use common::pool_sizes;
 
-/// Boxed mode: a `ReusableGraph` of `FnMut` closures executed three times.
-/// Every round runs every task exactly once and leaves the counters restored.
-#[test]
-fn reusable_boxed_graph_executes_three_times_with_restored_counters() {
-    let pool = ThreadPool::new(4);
-    let n = 200usize;
-    let runs: Arc<Vec<AtomicUsize>> = Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
-    let mut g = TaskGraph::with_capacity(n);
-    let ids: Vec<_> = (0..n)
-        .map(|j| {
-            let runs = Arc::clone(&runs);
-            g.add_task(move || {
-                runs[j].fetch_add(1, Ordering::SeqCst);
-            })
-        })
-        .collect();
-    // A mix of chains and diamonds.
-    for j in 1..n {
-        g.add_dependency(ids[j - 1], ids[j]);
-        if j >= 13 {
-            g.add_dependency(ids[j - 13], ids[j]);
-        }
-    }
-    let mut compiled = g.compile();
-    assert!(compiled.counters_are_reset());
-    for round in 1..=3 {
-        let stats = compiled.execute(&pool).expect("run");
-        assert_eq!(stats.tasks, n, "round {round}");
-        assert!(
-            runs.iter().all(|r| r.load(Ordering::SeqCst) == round),
-            "round {round}: every task must have run exactly once per execution"
-        );
-        assert!(
-            compiled.counters_are_reset(),
-            "round {round}: counters must be restored"
-        );
-    }
-}
-
-/// Non-boxed mode end-to-end: one compiled MM algorithm executed three times
+/// End to end: one compiled MM algorithm executed three times
 /// against the same buffers produces bit-identical results, and construction
 /// (DRS + graph build) happens exactly once.
 #[test]

@@ -6,7 +6,7 @@
 //! graph form ([`CompiledAlgorithm`]), and execute (flat, or placed under
 //! `nd-exec`'s anchoring).  This module is the one place that lifecycle is
 //! written down; the per-algorithm `*_parallel` drivers, the anchored
-//! wrappers of `nd-exec`, the `exp_exec` benchmark sections and the
+//! wrappers of `nd-exec`, the `benchmark/` package's workloads and the
 //! graph-reuse test harnesses all go through it instead of each carrying
 //! their own copy (which is what the `mm`/`trs`/`cholesky`/`lcs`/`fw1d`
 //! modules did before LU and 2-D Floyd–Warshall joined the compiled path).

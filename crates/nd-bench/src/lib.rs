@@ -12,48 +12,11 @@
 //!   and completion-time scaling versus work stealing and the perfect-balance bound.
 //! * `exp_cache_q1` — E13: serial (depth-first) cache misses of the cache-oblivious
 //!   recursive order versus the loop order.
-//! * `exp_exec` — E14: real wall-clock comparison of flat work stealing versus the
-//!   hierarchy-aware space-bounded executor (`nd-exec`) on MM, Cholesky, LU and
-//!   2-D Floyd–Warshall, with cross-cluster steal counts, emitted as JSON;
-//!   E15: executor hot-path microbenchmarks (per-task overhead, tasks/second,
-//!   serial-chain tail-execution, rebuild-vs-reuse of a compiled MM graph);
-//!   E16: rebuild-vs-reuse of the compiled LU and FW-2D drivers (the
-//!   `algorithm_reuse` section of `BENCH_exec.json`);
-//!   E17: the fire-rule frontend — DRS expansion + compile cost versus the
-//!   access-set oracle rebuilding the same dependency structure, plus the
-//!   reuse speedup of DRS-built MM and LCS graphs (the `drs_frontend`
-//!   section of `BENCH_exec.json`);
-//!   E18: storage layouts — the GEMM base case on strided row-major block
-//!   views versus contiguous tile-packed slabs (warm full-sweep and cold
-//!   sampled-tile regimes), plus whole-algorithm wall clock for
-//!   MM / Cholesky / LU / FW-2D on both layouts (the `layouts` section of
-//!   `BENCH_exec.json`);
-//!   E19: the `nd-trace` subsystem — the runtime cost of toggling tracing on
-//!   (empty-task DAG with the tracer off versus on) and the derived
-//!   scheduler metrics of one traced anchored MM (the `trace` section of
-//!   `BENCH_exec.json`; the compile-out-versus-disabled cost is measured by
-//!   `nd-runtime`'s `sched_overhead` binary and bounded by CI);
-//!   E20: the fault paths — drain-to-latch cancellation latency after a
-//!   mid-run strand panic, `reset()` + rerun recovery cost, and the trip
-//!   latency of a blown wall-clock deadline (the `faults` section of
-//!   `BENCH_exec.json`; the cost of carrying the *uninstalled* `chaos`
-//!   fault-injection harness is bounded by the same `sched_overhead`
-//!   comparison, run by the CI chaos job).
-//! * `exp_scaling` — E21: the multicore scaling study — strong and weak
-//!   scaling of MM, LU and FW-2D at 1 / 2 / 8 workers on synthesized PMH
-//!   machines, flat ring-order work stealing versus `σ·M_i`-anchored
-//!   execution, with per-configuration steal-distance histograms and
-//!   busy/steal/idle breakdowns from `nd-trace`, plus an in-process
-//!   scalar-versus-SIMD GFLOP/s comparison of the packed GEMM base case and
-//!   the detected CPU features (the `scaling`, `simd` and `cpu` sections
-//!   spliced into the `BENCH_exec.json` written by `exp_exec`).
-//! * `exp_serve` — E22: the serving layer (`nd-serve`) under mixed-tenant
-//!   load with 1-in-50 chaos-injected panics and a deterministically
-//!   poisoned graph key: acceptance/terminal accounting (the zero-loss
-//!   invariant), per-tenant p50/p99 latency and throughput, retry volume
-//!   and healthy-tenant availability, circuit-breaker trips / fast rejects
-//!   / recovery, and graceful-drain timing (the `serve` section of
-//!   `BENCH_exec.json`).
+//!
+//! The executor's measured numbers (E14–E22: wall clock, per-task overhead,
+//! storage layouts, tracing, fault paths, serving) come from the stand-alone
+//! `benchmark/` package's `bench` binary, not from this crate; PAPER.md's
+//! experiment index names the `bench` metric or test that carries each one.
 //!
 //! The Criterion benches in `benches/` measure the real-runtime wall-clock
 //! counterparts (E12) and the model-construction costs.

@@ -112,8 +112,8 @@ fn worker_distance(machine: &MachineTree, a: usize, b: usize) -> usize {
 /// A *flat* topology (single group, ring-order locality-blind stealing) that
 /// still carries `machine`'s distance classification, so the steal counters
 /// reveal how many steals plain work stealing commits across the machine's
-/// cluster boundaries.  This is the instrumented baseline `exp_exec` compares
-/// the anchored executor against.
+/// cluster boundaries.  This is the instrumented baseline `tests/scaling_steals.rs`
+/// compares the anchored executor's steal locality against.
 pub fn flat_topology_with_distances(machine: &MachineTree) -> PoolTopology {
     let p = machine.processor_count();
     let mut topology = PoolTopology::flat(p);

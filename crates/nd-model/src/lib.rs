@@ -33,9 +33,7 @@
 //!
 //! The CI entry point is the `verify_model` binary, which runs the full
 //! small-N sweep (every DAG shape × 1–3 workers × clean/panic/deadline) and
-//! fails loudly, with the counterexample, on any violation.  A TLA+ mirror
-//! of the core claim/drain transition system lives in
-//! `verification/scheduler.tla`.
+//! fails loudly, with the counterexample, on any violation.
 
 pub mod checker;
 pub mod conformance;

@@ -1,8 +1,8 @@
 //! Scheduler-overhead probe for the tracing subsystem (experiment E19).
 //!
-//! Runs the same wide layered empty-task DAG as `exp_exec`'s scheduler
-//! microbench and prints one JSON line with the best per-task scheduling
-//! cost.  Because this binary lives in `nd-runtime` itself, building it with
+//! Runs a wide layered empty-task DAG (64 × 256 tasks) and a serial chain,
+//! and prints one JSON line with the best per-task scheduling cost of each.
+//! Because this binary lives in `nd-runtime` itself, building it with
 //! `--no-default-features` really does compile the executor without any
 //! trace record sites (workspace feature unification cannot re-enable them),
 //! so CI can compare:
@@ -48,8 +48,7 @@ fn main() {
     let pool = ThreadPool::new(workers);
     let table = Arc::new(NopTable);
 
-    // The wide layered DAG of exp_exec's scheduler bench: 64 × 256 empty
-    // tasks, two predecessors each.
+    // The wide layered DAG: 64 × 256 empty tasks, two predecessors each.
     let (layers, width) = (64u32, 256u32);
     let mut edges = Vec::new();
     for l in 1..layers {

@@ -193,8 +193,8 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     out
 }
 
-/// Renders the derived metrics as one compact JSON object — the shape the
-/// bench driver embeds into the `trace` section of `BENCH_exec.json`.
+/// Renders the derived metrics as one compact JSON object (what
+/// `examples/trace_mm.rs` prints beside the Chrome trace).
 pub fn metrics_summary_json(trace: &Trace) -> String {
     let m = &trace.metrics;
     let mut out = String::with_capacity(1024);

@@ -26,8 +26,8 @@
 //!   busy/idle/steal time, steal-distance histogram, per-op-kind latency
 //!   percentiles, queue-depth samples, critical-path estimate).
 //! * [`export`] — Chrome `trace_event` JSON (open in Perfetto or
-//!   `chrome://tracing`) and a compact metrics summary for
-//!   `BENCH_exec.json`.
+//!   `chrome://tracing`) and a compact metrics summary
+//!   (one JSON object; `examples/trace_mm.rs` prints it).
 //!
 //! The event stream is deliberately the replay input format for the
 //! ROADMAP's trace-driven scheduler simulator: each event carries enough to

@@ -63,8 +63,8 @@
 //!
 //! The flat (locality-blind) executor remains available through
 //! [`runtime`]'s [`ThreadPool`](prelude::ThreadPool) and the `*_parallel`
-//! drivers in [`algorithms`]; `nd-bench`'s `exp_exec` binary compares the two
-//! executors head to head.
+//! drivers in [`algorithms`]; the `benchmark/` package's `bench` binary reports
+//! the anchored-versus-flat ratio as `anchor.vs_flat_ratio`.
 
 pub use nd_algorithms as algorithms;
 pub use nd_core as core;

@@ -126,48 +126,94 @@ fn batched_chain_count_down_accounts_for_every_task() {
     }
 }
 
-/// A panic at the chain's midpoint drains the rest of the batched chain:
-/// the run returns `Err(Panicked)` instead of hanging, and after `reset()`
-/// the graph re-runs `Ok` to the output of a never-faulted run.
+/// The drain test's inputs, each a DAG with its bomb task:
+/// * the chain-plus-fan-in graph, bomb at the chain's midpoint, so the drain
+///   must cut one batched inline chain short;
+/// * a 32 × 128 layered DAG (task `(l, w)` waits on `(l-1, w)` and
+///   `(l-1, (w+1) mod 128)`), bomb at the first task of layer 16, so the
+///   drain must skip a front that widens layer by layer.
+fn drain_cases() -> Vec<(&'static str, Vec<Vec<usize>>, usize)> {
+    let (layers, width) = (32usize, 128usize);
+    let layered = (0..layers * width)
+        .map(|task| {
+            let (l, w) = (task / width, task % width);
+            if l == 0 {
+                vec![]
+            } else {
+                vec![(l - 1) * width + w, (l - 1) * width + (w + 1) % width]
+            }
+        })
+        .collect();
+    vec![
+        ("chain + fan-in", chain_and_fan_in_preds(), CHAIN / 2),
+        ("layered 32x128", layered, (layers / 2) * width),
+    ]
+}
+
+/// `reach[j]` is true when `j` is `root` or one of its descendants.  Every
+/// predecessor list here names only lower-numbered tasks, so one forward pass
+/// suffices.
+fn descendants(preds: &[Vec<usize>], root: usize) -> Vec<bool> {
+    let mut reach = vec![false; preds.len()];
+    reach[root] = true;
+    for j in root + 1..preds.len() {
+        debug_assert!(preds[j].iter().all(|&p| p < j));
+        reach[j] = preds[j].iter().any(|&p| reach[p]);
+    }
+    reach
+}
+
+/// A natural panic drains the rest of the run, on every input of
+/// [`drain_cases`]: the run returns `Err(Panicked)` naming the bomb instead of
+/// hanging, no descendant of the bomb runs its work, no task runs twice, the
+/// counters come back reset, and after `reset()` the graph re-runs `Ok` to the
+/// output of a never-faulted one-worker run.
 #[test]
 fn panic_mid_chain_drains_the_batch_and_recovers() {
-    let preds = chain_and_fan_in_preds();
-    let n = preds.len();
-    let boom = CHAIN / 2;
-    let edges = edges_of(&preds);
-    let reference = {
-        let table = Arc::new(BombTable::new(preds.clone(), boom));
-        table.armed.store(false, Ordering::SeqCst);
-        let graph = Arc::new(CompiledGraph::from_edges(n, &edges, Vec::new()));
-        graph
-            .execute(&ThreadPool::new(1), &table)
-            .expect("oracle run");
-        table.snapshot()
-    };
-    for workers in pool_sizes() {
-        let pool = ThreadPool::new(workers);
-        let graph = Arc::new(CompiledGraph::from_edges(n, &edges, Vec::new()));
-        for round in 0..10 {
+    for (shape, preds, boom) in drain_cases() {
+        let n = preds.len();
+        let edges = edges_of(&preds);
+        let blocked = descendants(&preds, boom);
+        let reference = {
             let table = Arc::new(BombTable::new(preds.clone(), boom));
-            match graph.execute(&pool, &table) {
-                Err(RunError::Panicked { task, .. }) => assert_eq!(task, boom as u32),
-                other => {
-                    panic!("workers={workers} round={round}: expected Panicked, got {other:?}")
-                }
-            }
-            // Nothing after the bomb on the chain ran: the tail drained.
-            assert_eq!(table.out[boom + 1].load(Ordering::SeqCst), 0);
-            graph.reset();
-            assert!(graph.counters_are_reset());
             table.armed.store(false, Ordering::SeqCst);
-            let stats = graph.execute(&pool, &table).expect("recovery run");
-            assert_eq!(stats.tasks_per_worker.iter().sum::<u64>(), n as u64);
-            assert!(graph.counters_are_reset());
-            assert_eq!(
-                table.snapshot(),
-                reference,
-                "workers={workers} round={round}"
-            );
+            let graph = Arc::new(CompiledGraph::from_edges(n, &edges, Vec::new()));
+            graph
+                .execute(&ThreadPool::new(1), &table)
+                .expect("oracle run");
+            table.snapshot()
+        };
+        for workers in pool_sizes() {
+            let pool = ThreadPool::new(workers);
+            let graph = Arc::new(CompiledGraph::from_edges(n, &edges, Vec::new()));
+            for round in 0..10 {
+                let ctx = format!("{shape}, workers={workers} round={round}");
+                let table = Arc::new(BombTable::new(preds.clone(), boom));
+                match graph.execute(&pool, &table) {
+                    Err(RunError::Panicked { task, .. }) => assert_eq!(task, boom as u32, "{ctx}"),
+                    other => panic!("{ctx}: expected Panicked, got {other:?}"),
+                }
+                let cells = table.runs.iter().zip(&table.out).zip(&blocked);
+                for (j, ((runs, out), &descends)) in cells.enumerate() {
+                    let runs = runs.load(Ordering::SeqCst);
+                    assert!(runs <= 1, "{ctx}: task {j} ran {runs} times");
+                    if descends {
+                        assert_eq!(
+                            out.load(Ordering::SeqCst),
+                            0,
+                            "{ctx}: task {j} descends from the bomb but ran"
+                        );
+                    }
+                }
+                assert!(graph.counters_are_reset(), "{ctx}");
+                graph.reset();
+                assert!(graph.counters_are_reset(), "{ctx}");
+                table.armed.store(false, Ordering::SeqCst);
+                let stats = graph.execute(&pool, &table).expect("recovery run");
+                assert_eq!(stats.tasks_per_worker.iter().sum::<u64>(), n as u64);
+                assert!(graph.counters_are_reset(), "{ctx}");
+                assert_eq!(table.snapshot(), reference, "{ctx}");
+            }
         }
     }
 }
@@ -179,6 +225,9 @@ fn panic_mid_chain_drains_the_batch_and_recovers() {
 struct BombTable {
     preds: Vec<Vec<usize>>,
     out: Vec<AtomicU64>,
+    /// How many times each task was entered, the bomb's panicking entry
+    /// included.
+    runs: Vec<AtomicU64>,
     boom: usize,
     armed: AtomicBool,
 }
@@ -189,6 +238,7 @@ impl BombTable {
         BombTable {
             preds,
             out: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            runs: (0..n).map(|_| AtomicU64::new(0)).collect(),
             boom,
             armed: AtomicBool::new(true),
         }
@@ -202,6 +252,7 @@ impl BombTable {
 impl TaskTable for BombTable {
     fn run_task(&self, task: u32) {
         let j = task as usize;
+        self.runs[j].fetch_add(1, Ordering::SeqCst);
         if j == self.boom && self.armed.load(Ordering::SeqCst) {
             panic!("injected panic at strand {j}");
         }
